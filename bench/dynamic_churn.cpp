@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "tlb/core/dynamic.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/sim/report.hpp"
 #include "tlb/util/cli.hpp"
 #include "tlb/util/table.hpp"
@@ -22,7 +23,7 @@ core::DynamicMetrics run_one(core::DynamicConfig cfg, long warmup,
                              long measure, std::uint64_t seed) {
   core::DynamicUserEngine engine(std::move(cfg));
   util::Rng rng(seed);
-  return engine.run(warmup, measure, rng);
+  return engine.run({.warmup = warmup, .measure = measure}, rng);
 }
 
 }  // namespace

@@ -8,8 +8,11 @@
 //
 // Expected shape: balancing time ≈ proportional to log(m(W,k)+k) and nearly
 // independent of k — the curves for different k overlap.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "tlb/core/threshold.hpp"
 #include "tlb/core/user_protocol.hpp"
@@ -58,6 +61,14 @@ int main(int argc, char** argv) {
   util::Table table({"k", "W", "m(W,k)+k", "ln(m)", "balancing time (mean)",
                      "ci95", "time/ln(m)"});
 
+  // Measured time/ln(m) per k: its range within k and its mean, for the
+  // summary line (Figure 1 predicts a flat ratio that does not depend on k).
+  struct Ratio {
+    std::int64_t k;
+    double lo, hi, sum;
+    int points;
+  };
+  std::vector<Ratio> ratios;
   std::uint64_t point = 0;
   for (std::int64_t k : cli.get_int_list("k_values")) {
     for (std::int64_t W : cli.get_int_list("w_values")) {
@@ -89,11 +100,20 @@ int main(int argc, char** argv) {
           });
 
       const double lnm = std::log(static_cast<double>(ts.size()));
+      const double ratio = stats.rounds.mean() / lnm;
       table.add_row({util::Table::fmt(k), util::Table::fmt(W),
                      util::Table::fmt(ts.size()), util::Table::fmt(lnm, 2),
                      util::Table::fmt(stats.rounds.mean(), 1),
                      util::Table::fmt(stats.rounds.ci95_halfwidth(), 1),
-                     util::Table::fmt(stats.rounds.mean() / lnm, 2)});
+                     util::Table::fmt(ratio, 2)});
+      if (ratios.empty() || ratios.back().k != k) {
+        ratios.push_back({k, ratio, ratio, 0.0, 0});
+      }
+      Ratio& r = ratios.back();
+      r.lo = std::min(r.lo, ratio);
+      r.hi = std::max(r.hi, ratio);
+      r.sum += ratio;
+      ++r.points;
       if (stats.unbalanced > 0) {
         std::fprintf(stderr, "warning: %zu/%zu trials hit the round cap\n",
                      stats.unbalanced, trials);
@@ -102,10 +122,26 @@ int main(int argc, char** argv) {
   }
 
   sim::emit_table(table, cli.get_string("csv"));
-  sim::print_takeaway(
-      "the time/ln(m) column is nearly constant within each k and the "
-      "columns for different k agree closely — balancing time is "
-      "logarithmic in m and essentially independent of the number of heavy "
-      "tasks, matching Figure 1.");
+  if (ratios.empty()) {
+    sim::print_takeaway("no (k, W) point had room for unit tasks.");
+    return 0;
+  }
+  std::string summary = "measured time/ln(m) range within each k:";
+  double mean_lo = INFINITY;
+  double mean_hi = 0.0;
+  char buf[128];
+  for (const Ratio& r : ratios) {
+    std::snprintf(buf, sizeof buf, " k=%lld %.2f-%.2f;",
+                  static_cast<long long>(r.k), r.lo, r.hi);
+    summary += buf;
+    const double mean = r.sum / r.points;
+    mean_lo = std::min(mean_lo, mean);
+    mean_hi = std::max(mean_hi, mean);
+  }
+  std::snprintf(buf, sizeof buf,
+                " per-k means span %.2f-%.2f across k (max/min %.2f). "
+                "Figure 1 predicts a flat ratio, the same for every k.",
+                mean_lo, mean_hi, mean_hi / mean_lo);
+  sim::print_takeaway(summary + buf);
   return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -10,41 +11,38 @@
 #include "tlb/engine/driver.hpp"
 #include "tlb/util/binomial.hpp"
 #include "tlb/util/parallel.hpp"
+#include "tlb/util/validate.hpp"
 
 namespace tlb::core {
 
 DynamicUserEngine::DynamicUserEngine(DynamicConfig config)
     : config_(std::move(config)) {
   if (config_.n < 2) throw std::invalid_argument("DynamicUserEngine: n >= 2");
-  if (config_.arrival_rate < 0.0 || config_.completion_rate < 0.0 ||
-      config_.completion_rate > 1.0) {
-    throw std::invalid_argument("DynamicUserEngine: bad arrival/completion rate");
-  }
-  if (config_.crash_rate < 0.0 || config_.crash_rate > 1.0) {
-    throw std::invalid_argument("DynamicUserEngine: crash_rate in [0, 1]");
-  }
-  if (config_.eps <= 0.0 || config_.alpha <= 0.0) {
-    throw std::invalid_argument("DynamicUserEngine: eps, alpha > 0");
-  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  util::require_finite_in(config_.arrival_rate, 0.0, kInf,
+                          "DynamicUserEngine: arrival_rate");
+  util::require_finite_in(config_.completion_rate, 0.0, 1.0,
+                          "DynamicUserEngine: completion_rate");
+  util::require_finite_in(config_.crash_rate, 0.0, 1.0,
+                          "DynamicUserEngine: crash_rate");
+  util::require_finite_positive(config_.eps, "DynamicUserEngine: eps");
+  util::require_finite_positive(config_.alpha, "DynamicUserEngine: alpha");
   if (config_.classes.empty()) {
     throw std::invalid_argument("DynamicUserEngine: need >= 1 weight class");
+  }
+  // A non-finite weight would corrupt the sorted class table (lower_bound
+  // ordering) and every load sum silently, so validate before sorting.
+  for (const auto& c : config_.classes) {
+    util::require_finite_in(c.weight, 1.0, kInf,
+                            "DynamicUserEngine: class weight");
+    util::require_finite_positive(c.probability,
+                                  "DynamicUserEngine: class probability");
   }
   // Normalise and sort the class table (ascending weights, CDF for sampling).
   std::sort(config_.classes.begin(), config_.classes.end(),
             [](const auto& a, const auto& b) { return a.weight < b.weight; });
   double total_p = 0.0;
-  for (const auto& c : config_.classes) {
-    // NaN fails every ordered comparison, so the bounds are written to
-    // reject it explicitly: a non-finite weight would corrupt the sorted
-    // class table (lower_bound ordering) and every load sum silently.
-    if (!std::isfinite(c.weight) || !(c.weight >= 1.0) ||
-        !std::isfinite(c.probability) || !(c.probability > 0.0)) {
-      throw std::invalid_argument(
-          "DynamicUserEngine: class weights finite and >= 1, "
-          "probabilities finite and > 0");
-    }
-    total_p += c.probability;
-  }
+  for (const auto& c : config_.classes) total_p += c.probability;
   double acc = 0.0;
   for (const auto& c : config_.classes) {
     class_weights_.push_back(c.weight);
@@ -66,40 +64,23 @@ DynamicUserEngine::DynamicUserEngine(DynamicConfig config)
   if (config_.threads != 1) {
     pool_ = std::make_unique<util::ThreadPool>(config_.threads);
   }
-  sink_.registry = config_.registry;
-  sink_.trace = config_.trace;
-  if (sink_.registry != nullptr) {
-    obs::Registry& reg = *sink_.registry;
+  instr_ = {{config_.registry, config_.trace}, config_.dsan};
+  if (obs::Registry* reg = instr_.sink.registry) {
     using obs::MetricClass;
-    m_arrivals_ns_ = reg.counter("dynamic.arrivals_ns", MetricClass::kTiming);
+    m_arrivals_ns_ = reg->counter("dynamic.arrivals_ns", MetricClass::kTiming);
     m_completions_ns_ =
-        reg.counter("dynamic.completions_ns", MetricClass::kTiming);
-    m_sample_ns_ = reg.counter("dynamic.sample_ns", MetricClass::kTiming);
-    m_apply_ns_ = reg.counter("dynamic.apply_ns", MetricClass::kTiming);
-    m_arrivals_ = reg.counter("dynamic.arrivals", MetricClass::kDeterministic);
+        reg->counter("dynamic.completions_ns", MetricClass::kTiming);
+    m_sample_ns_ = reg->counter("dynamic.sample_ns", MetricClass::kTiming);
+    m_apply_ns_ = reg->counter("dynamic.apply_ns", MetricClass::kTiming);
+    m_arrivals_ = reg->counter("dynamic.arrivals", MetricClass::kDeterministic);
     m_completions_ =
-        reg.counter("dynamic.completions", MetricClass::kDeterministic);
-    m_crashes_ = reg.counter("dynamic.crashes", MetricClass::kDeterministic);
+        reg->counter("dynamic.completions", MetricClass::kDeterministic);
+    m_crashes_ = reg->counter("dynamic.crashes", MetricClass::kDeterministic);
     m_threshold_changes_ =
-        reg.counter("dynamic.threshold_changes", MetricClass::kDeterministic);
-    m_flush_checks_ =
-        reg.counter("dynamic.flush_checks", MetricClass::kDeterministic);
-    m_dirty_marks_ =
-        reg.counter("dynamic.dirty_marks", MetricClass::kDeterministic);
-    m_band_size_ = reg.counter("index.band_size", MetricClass::kDeterministic);
-    m_bucket_moves_ =
-        reg.counter("index.bucket_moves", MetricClass::kDeterministic);
-    m_reconciled_ =
-        reg.counter("index.reconciled", MetricClass::kDeterministic);
-    seen_flush_checks_ = over_.flush_checks();
-    seen_dirty_marks_ = over_.dirty_marks();
-    seen_band_size_ = over_.load_index().band_size();
-    seen_bucket_moves_ = over_.load_index().bucket_moves();
-    seen_reconciled_ = over_.load_index().reconciled();
+        reg->counter("dynamic.threshold_changes", MetricClass::kDeterministic);
   }
-  if (pool_ && sink_.attached()) {
-    pool_->attach_probe(sink_.registry, sink_.trace);
-  }
+  deltas_.attach(instr_.sink.registry, "dynamic", over_);
+  instr_.attach_pool(pool_.get());
 }
 
 void DynamicUserEngine::recompute_threshold() {
@@ -127,7 +108,7 @@ void DynamicUserEngine::recompute_threshold() {
   }
   // prev == 0 is the construction-time registration: the tracker was just
   // rebuilt with every resource pending, so there is nothing to add.
-  if (sink_.registry != nullptr) sink_.registry->add(m_threshold_changes_, 1);
+  instr_.add(m_threshold_changes_, 1);
 }
 
 const std::vector<graph::Node>& DynamicUserEngine::overloaded_now() const {
@@ -168,7 +149,7 @@ void DynamicUserEngine::do_arrivals(util::Rng& rng) {
     ++population_;
     if (metrics_) ++metrics_->arrivals;
   }
-  if (sink_.registry != nullptr) sink_.registry->add(m_arrivals_, count);
+  instr_.add(m_arrivals_, count);
 }
 
 void DynamicUserEngine::do_completions(util::Rng& rng) {
@@ -192,7 +173,7 @@ void DynamicUserEngine::do_completions(util::Rng& rng) {
       if (metrics_) metrics_->completions += done;
     }
   }
-  if (sink_.registry != nullptr) sink_.registry->add(m_completions_, total_done);
+  instr_.add(m_completions_, total_done);
 }
 
 void DynamicUserEngine::do_crash(util::Rng& rng) {
@@ -217,7 +198,7 @@ void DynamicUserEngine::do_crash(util::Rng& rng) {
   task_counts_[victim] = 0;
   over_.mark_dirty(victim);
   if (metrics_) ++metrics_->crashes;
-  if (sink_.registry != nullptr) sink_.registry->add(m_crashes_, 1);
+  instr_.add(m_crashes_, 1);
 }
 
 std::size_t DynamicUserEngine::do_protocol_step(util::Rng& rng) {
@@ -228,14 +209,14 @@ std::size_t DynamicUserEngine::do_protocol_step(util::Rng& rng) {
   // only the frozen round-start counts/loads — race-free and bitwise
   // independent of config_.threads.
   const std::size_t C = class_weights_.size();
-  dsan::StepProbe* const probe = config_.dsan;
+  dsan::StepProbe* const probe = instr_.probe;
   const std::uint64_t round_seed = rng();
   const std::vector<graph::Node>& over = overloaded_now();
   const std::size_t shards = util::shard_count(over.size(), kShardGrain);
   if (shard_bufs_.size() < shards) shard_bufs_.resize(shards);
   if (probe != nullptr) probe->arm_shards(shards);
   {
-    const obs::PhaseSpan span(sink_, m_sample_ns_, "dynamic.sample");
+    const obs::PhaseSpan span(instr_.sink, m_sample_ns_, "dynamic.sample");
     util::parallel_shard(
         over.size(), kShardGrain, pool_.get(),
         [this, &over, C, round_seed,
@@ -270,7 +251,7 @@ std::size_t DynamicUserEngine::do_protocol_step(util::Rng& rng) {
 
   // Phase 2: apply in shard order on the calling thread.
   std::size_t migrations = 0;
-  const obs::PhaseSpan span(sink_, m_apply_ns_, "dynamic.apply");
+  const obs::PhaseSpan span(instr_.sink, m_apply_ns_, "dynamic.apply");
   for (std::size_t s = 0; s < shards; ++s) {
     for (const Departure& d : shard_bufs_[s]) {
       counts_[static_cast<std::size_t>(d.src) * C + d.cls] -= d.count;
@@ -315,57 +296,29 @@ double DynamicUserEngine::phi_of(graph::Node r) const {
 }
 
 std::size_t DynamicUserEngine::step(util::Rng& rng) {
-  dsan::StepProbe* const probe = config_.dsan;
+  dsan::StepProbe* const probe = instr_.probe;
   if (probe != nullptr) probe->begin_step(rng);
-  {
-    const obs::PhaseSpan span(sink_, m_arrivals_ns_, "dynamic.arrivals");
-    do_arrivals(rng);
-  }
-  if (probe != nullptr && probe->want_phases()) {
-    dsan::Digest d;
+  // The arrivals and completions digests fold the same churn surface.
+  const auto churn_digest = [this](dsan::Digest& d) {
     d.u64(population_);
     d.f64(total_weight_);
     dsan::digest_loads(loads_, d);
-    probe->phase("arrivals", d.value());
-  }
+  };
+  instr_.phase(m_arrivals_ns_, "dynamic.arrivals", "arrivals",
+               [&] { do_arrivals(rng); }, churn_digest);
   ++round_;
-  {
-    const obs::PhaseSpan span(sink_, m_completions_ns_, "dynamic.completions");
-    do_completions(rng);
-  }
-  if (probe != nullptr && probe->want_phases()) {
-    dsan::Digest d;
-    d.u64(population_);
-    d.f64(total_weight_);
-    dsan::digest_loads(loads_, d);
-    probe->phase("completions", d.value());
-  }
+  instr_.phase(m_completions_ns_, "dynamic.completions", "completions",
+               [&] { do_completions(rng); }, churn_digest);
   do_crash(rng);
   recompute_threshold();
   last_migrations_ = do_protocol_step(rng);
-  if (probe != nullptr && probe->want_phases()) {
-    dsan::Digest d;
+  instr_.digest("protocol", [this](dsan::Digest& d) {
     d.f64(threshold_);
     d.u64(last_migrations_);
     dsan::digest_loads(loads_, d);
-    probe->phase("protocol", d.value());
-  }
+  });
   if (probe != nullptr) probe->end_step(rng);
-  if (sink_.registry != nullptr) {
-    obs::Registry& reg = *sink_.registry;
-    using obs::MetricClass;
-    reg.add(m_flush_checks_, over_.flush_checks() - seen_flush_checks_);
-    reg.add(m_dirty_marks_, over_.dirty_marks() - seen_dirty_marks_);
-    const LoadIndex& idx = over_.load_index();
-    reg.add(m_band_size_, idx.band_size() - seen_band_size_);
-    reg.add(m_bucket_moves_, idx.bucket_moves() - seen_bucket_moves_);
-    reg.add(m_reconciled_, idx.reconciled() - seen_reconciled_);
-    seen_flush_checks_ = over_.flush_checks();
-    seen_dirty_marks_ = over_.dirty_marks();
-    seen_band_size_ = idx.band_size();
-    seen_bucket_moves_ = idx.bucket_moves();
-    seen_reconciled_ = idx.reconciled();
-  }
+  deltas_.publish(over_);
   if (config_.paranoid_checks) check_overloaded_invariant();
 
   if (metrics_) {
@@ -447,14 +400,6 @@ DynamicMetrics DynamicUserEngine::run(const engine::DriveOptions& opt,
   metrics_ = nullptr;
   engine::drive(*this, rng, opt, observer);
   return metrics_store_;
-}
-
-DynamicMetrics DynamicUserEngine::run(long warmup, long measure,
-                                      util::Rng& rng) {
-  engine::DriveOptions opt;
-  opt.warmup = warmup;
-  opt.measure = measure;
-  return run(opt, rng);
 }
 
 }  // namespace tlb::core

@@ -7,6 +7,7 @@
 
 #include "tlb/core/potential.hpp"
 #include "tlb/engine/driver.hpp"
+#include "tlb/util/validate.hpp"
 
 namespace tlb::core {
 
@@ -19,10 +20,9 @@ GraphUserEngine::GraphUserEngine(const graph::Graph& g,
       walk_(g, config_.walk),
       state_(ts, g.num_nodes()) {
   if (config_.thresholds.empty()) {
-    if (config_.threshold <= 0.0) {
-      throw std::invalid_argument("GraphUserEngine: threshold must be > 0");
-    }
-    thresholds_.assign(g.num_nodes(), config_.threshold);
+    thresholds_.assign(g.num_nodes(),
+                       util::require_finite_positive(
+                           config_.threshold, "GraphUserEngine: threshold"));
   } else {
     if (config_.thresholds.size() != g.num_nodes()) {
       throw std::invalid_argument(
@@ -30,9 +30,7 @@ GraphUserEngine::GraphUserEngine(const graph::Graph& g,
     }
     thresholds_ = config_.thresholds;
   }
-  if (config_.alpha <= 0.0) {
-    throw std::invalid_argument("GraphUserEngine: alpha must be > 0");
-  }
+  util::require_finite_positive(config_.alpha, "GraphUserEngine: alpha");
   state_.set_thresholds(thresholds_);
 }
 

@@ -7,6 +7,7 @@
 
 #include "tlb/core/potential.hpp"
 #include "tlb/engine/driver.hpp"
+#include "tlb/util/validate.hpp"
 
 namespace tlb::core {
 
@@ -19,10 +20,9 @@ MixedProtocolEngine::MixedProtocolEngine(const graph::Graph& g,
       walk_(g, config_.walk),
       state_(ts, g.num_nodes()) {
   if (config_.thresholds.empty()) {
-    if (config_.threshold <= 0.0) {
-      throw std::invalid_argument("MixedProtocolEngine: threshold must be > 0");
-    }
-    thresholds_.assign(g.num_nodes(), config_.threshold);
+    thresholds_.assign(g.num_nodes(),
+                       util::require_finite_positive(
+                           config_.threshold, "MixedProtocolEngine: threshold"));
   } else {
     if (config_.thresholds.size() != g.num_nodes()) {
       throw std::invalid_argument(
@@ -30,13 +30,9 @@ MixedProtocolEngine::MixedProtocolEngine(const graph::Graph& g,
     }
     thresholds_ = config_.thresholds;
   }
-  if (config_.resource_probability < 0.0 || config_.resource_probability > 1.0) {
-    throw std::invalid_argument(
-        "MixedProtocolEngine: resource_probability in [0, 1]");
-  }
-  if (config_.alpha <= 0.0) {
-    throw std::invalid_argument("MixedProtocolEngine: alpha must be > 0");
-  }
+  util::require_finite_in(config_.resource_probability, 0.0, 1.0,
+                          "MixedProtocolEngine: resource_probability");
+  util::require_finite_positive(config_.alpha, "MixedProtocolEngine: alpha");
   state_.set_thresholds(thresholds_);
 }
 

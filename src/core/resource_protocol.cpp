@@ -5,6 +5,7 @@
 
 #include "tlb/core/potential.hpp"
 #include "tlb/engine/driver.hpp"
+#include "tlb/util/validate.hpp"
 
 namespace tlb::core {
 
@@ -17,21 +18,16 @@ ResourceControlledEngine::ResourceControlledEngine(const graph::Graph& g,
       walk_(g, config_.walk),
       state_(ts, g.num_nodes()) {
   if (config_.thresholds.empty()) {
-    if (config_.threshold <= 0.0) {
-      throw std::invalid_argument(
-          "ResourceControlledEngine: threshold must be > 0");
-    }
-    thresholds_.assign(g.num_nodes(), config_.threshold);
+    thresholds_.assign(g.num_nodes(), util::require_finite_positive(
+                                          config_.threshold,
+                                          "ResourceControlledEngine: threshold"));
   } else {
     if (config_.thresholds.size() != g.num_nodes()) {
       throw std::invalid_argument(
           "ResourceControlledEngine: thresholds size must equal node count");
     }
     for (double t : config_.thresholds) {
-      if (t <= 0.0) {
-        throw std::invalid_argument(
-            "ResourceControlledEngine: all thresholds must be > 0");
-      }
+      util::require_finite_positive(t, "ResourceControlledEngine: threshold");
     }
     thresholds_ = config_.thresholds;
   }

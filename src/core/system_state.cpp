@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "tlb/util/validate.hpp"
+
 namespace tlb::core {
 
 SystemState::SystemState(const tasks::TaskSet& tasks, Node n)
@@ -13,9 +15,8 @@ SystemState::SystemState(const tasks::TaskSet& tasks, Node n)
 }
 
 void SystemState::set_thresholds(double threshold) {
-  if (threshold <= 0.0) {
-    throw std::invalid_argument("SystemState::set_thresholds: threshold > 0");
-  }
+  util::require_finite_positive(threshold,
+                                "SystemState::set_thresholds: threshold");
   // Re-registering the value already in force cannot flip any status (the
   // recompute_threshold no-op guard, applied to the bulk mutator): zero
   // re-checks on the next query.
@@ -53,10 +54,7 @@ void SystemState::set_thresholds(std::vector<double> thresholds) {
         "SystemState::set_thresholds: size must equal resource count");
   }
   for (double t : thresholds) {
-    if (t <= 0.0) {
-      throw std::invalid_argument(
-          "SystemState::set_thresholds: all thresholds must be > 0");
-    }
+    util::require_finite_positive(t, "SystemState::set_thresholds: threshold");
   }
   const Node n = arena_.num_resources();
   if (track_uniform_ == 0.0 && track_thresholds_ == thresholds) return;

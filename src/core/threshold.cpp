@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "tlb/util/validate.hpp"
+
 namespace tlb::core {
 
 const char* to_string(ThresholdKind kind) {
@@ -19,9 +21,7 @@ double threshold_value(ThresholdKind kind, double total_weight, graph::Node n,
   const double avg = total_weight / static_cast<double>(n);
   switch (kind) {
     case ThresholdKind::kAboveAverage:
-      if (eps <= 0.0) {
-        throw std::invalid_argument("threshold_value: above-average needs eps > 0");
-      }
+      util::require_finite_positive(eps, "threshold_value: above-average eps");
       return (1.0 + eps) * avg + w_max;
     case ThresholdKind::kTightResource:
       return avg + 2.0 * w_max;

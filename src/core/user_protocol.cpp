@@ -13,6 +13,7 @@
 #include "tlb/engine/driver.hpp"
 #include "tlb/util/binomial.hpp"
 #include "tlb/util/parallel.hpp"
+#include "tlb/util/validate.hpp"
 
 namespace tlb::core {
 
@@ -42,38 +43,21 @@ graph::Node sample_destination(graph::Node n, graph::Node src,
   return d >= src ? d + 1 : d;
 }
 
-/// Validate the scalar threshold (shared by the dense resolver below and
-/// the exact engine's scalar fast path).
-double checked_threshold(double threshold, const char* who) {
-  // !(x > 0) also catches NaN, which `x <= 0` would wave through.
-  if (!std::isfinite(threshold) || !(threshold > 0.0)) {
-    throw std::invalid_argument(std::string(who) +
-                                ": threshold must be finite and > 0");
-  }
-  return threshold;
-}
-
 /// Resolve the scalar-or-vector threshold configuration into a dense
-/// per-resource vector (shared by both engines).
+/// per-resource vector (shared by both engines). `who` names the threshold
+/// in error messages, e.g. "GroupedUserEngine: threshold".
 std::vector<double> resolve_thresholds(const UserProtocolConfig& config,
                                        graph::Node n, const char* who) {
-  std::vector<double> out;
   if (config.thresholds.empty()) {
-    out.assign(n, checked_threshold(config.threshold, who));
-  } else {
-    if (config.thresholds.size() != n) {
-      throw std::invalid_argument(
-          std::string(who) + ": thresholds size must equal resource count");
-    }
-    for (double t : config.thresholds) {
-      if (!std::isfinite(t) || !(t > 0.0)) {
-        throw std::invalid_argument(std::string(who) +
-                                    ": all thresholds must be finite and > 0");
-      }
-    }
-    out = config.thresholds;
+    return std::vector<double>(
+        n, util::require_finite_positive(config.threshold, who));
   }
-  return out;
+  if (config.thresholds.size() != n) {
+    throw std::invalid_argument(std::string(who) +
+                                "s: size must equal resource count");
+  }
+  for (double t : config.thresholds) util::require_finite_positive(t, who);
+  return config.thresholds;
 }
 
 }  // namespace
@@ -99,16 +83,15 @@ UserControlledEngine::UserControlledEngine(const tasks::TaskSet& ts, Node n,
                                            UserProtocolConfig config)
     : tasks_(&ts), config_(std::move(config)), state_(ts, n) {
   if (config_.thresholds.empty()) {
-    uniform_threshold_ =
-        checked_threshold(config_.threshold, "UserControlledEngine");
+    uniform_threshold_ = util::require_finite_positive(
+        config_.threshold, "UserControlledEngine: threshold");
     max_threshold_ = uniform_threshold_;
   } else {
-    thresholds_ = resolve_thresholds(config_, n, "UserControlledEngine");
+    thresholds_ =
+        resolve_thresholds(config_, n, "UserControlledEngine: threshold");
     max_threshold_ = *std::max_element(thresholds_.begin(), thresholds_.end());
   }
-  if (config_.alpha <= 0.0) {
-    throw std::invalid_argument("UserControlledEngine: alpha must be > 0");
-  }
+  util::require_finite_positive(config_.alpha, "UserControlledEngine: alpha");
   if (n < 2) throw std::invalid_argument("UserControlledEngine: need n >= 2");
   if (thresholds_.empty()) {
     state_.set_thresholds(uniform_threshold_);
@@ -116,35 +99,19 @@ UserControlledEngine::UserControlledEngine(const tasks::TaskSet& ts, Node n,
     state_.set_thresholds(thresholds_);
   }
   pool_ = make_phase1_pool(config_.options.threads);
-  sink_.registry = config_.options.registry;
-  sink_.trace = config_.options.trace;
-  if (sink_.registry != nullptr) {
-    obs::Registry& reg = *sink_.registry;
+  instr_ = {{config_.options.registry, config_.options.trace},
+            config_.options.dsan};
+  if (obs::Registry* reg = instr_.sink.registry) {
     using obs::MetricClass;
-    m_sample_ns_ = reg.counter("exact.sample_ns", MetricClass::kTiming);
-    m_merge_ns_ = reg.counter("exact.merge_ns", MetricClass::kTiming);
-    m_apply_ns_ = reg.counter("exact.apply_ns", MetricClass::kTiming);
-    m_coins_ = reg.counter("exact.coins", MetricClass::kDeterministic);
+    m_sample_ns_ = reg->counter("exact.sample_ns", MetricClass::kTiming);
+    m_merge_ns_ = reg->counter("exact.merge_ns", MetricClass::kTiming);
+    m_apply_ns_ = reg->counter("exact.apply_ns", MetricClass::kTiming);
+    m_coins_ = reg->counter("exact.coins", MetricClass::kDeterministic);
     m_departures_ =
-        reg.counter("exact.departures", MetricClass::kDeterministic);
-    m_flush_checks_ =
-        reg.counter("exact.flush_checks", MetricClass::kDeterministic);
-    m_dirty_marks_ =
-        reg.counter("exact.dirty_marks", MetricClass::kDeterministic);
-    m_band_size_ = reg.counter("index.band_size", MetricClass::kDeterministic);
-    m_bucket_moves_ =
-        reg.counter("index.bucket_moves", MetricClass::kDeterministic);
-    m_reconciled_ =
-        reg.counter("index.reconciled", MetricClass::kDeterministic);
-    seen_flush_checks_ = state_.overloaded_tracker().flush_checks();
-    seen_dirty_marks_ = state_.overloaded_tracker().dirty_marks();
-    seen_band_size_ = state_.overloaded_tracker().load_index().band_size();
-    seen_bucket_moves_ = state_.overloaded_tracker().load_index().bucket_moves();
-    seen_reconciled_ = state_.overloaded_tracker().load_index().reconciled();
+        reg->counter("exact.departures", MetricClass::kDeterministic);
   }
-  if (pool_ && sink_.attached()) {
-    pool_->attach_probe(sink_.registry, sink_.trace);
-  }
+  deltas_.attach(instr_.sink.registry, "exact", state_.overloaded_tracker());
+  instr_.attach_pool(pool_.get());
 }
 
 void UserControlledEngine::reset(const tasks::Placement& placement) {
@@ -154,7 +121,7 @@ void UserControlledEngine::reset(const tasks::Placement& placement) {
 std::size_t UserControlledEngine::step(util::Rng& rng) {
   const Node n = state_.num_resources();
   const double w_max = tasks_->max_weight();
-  dsan::StepProbe* const probe = config_.options.dsan;
+  dsan::StepProbe* const probe = instr_.probe;
   if (probe != nullptr) probe->begin_step(rng);
   // Per-round base seed for the sharded sampler, drawn from the caller's
   // stream so a run is still a pure function of the initial seed. Every
@@ -173,135 +140,115 @@ std::size_t UserControlledEngine::step(util::Rng& rng) {
   coin_prefix_.resize(k + 1);
   leave_p_.resize(k);
   std::size_t total = 0;
-  {
-    const obs::PhaseSpan span(sink_, m_sample_ns_, "exact.sample");
-    for (std::size_t i = 0; i < k; ++i) {
-      const ResourceStack stack = std::as_const(state_).stack(over[i]);
-      coin_prefix_[i] = total;
-      total += stack.count();
-      const double phi = stack.phi(*tasks_, threshold(over[i]));
-      leave_p_[i] = leave_probability(config_.alpha, phi, w_max, stack.count());
-    }
-    coin_prefix_[k] = total;
 
-    // Phase 1b: flip the coins. Sharding the flat coin index space (rather
-    // than the overloaded list) keeps the all-on-one initial round parallel
-    // too. Shards only read the frozen arrays and write disjoint mask bytes,
-    // so the pass is race-free and bitwise independent of the thread count.
-    flat_mask_.assign(total, 0);
-    if (probe != nullptr) {
-      probe->arm_shards(util::shard_count(total, kCoinShardGrain));
+  // Phase 1b worker: flip the coins of one shard. Sharding the flat coin
+  // index space (rather than the overloaded list) keeps the all-on-one
+  // initial round parallel too. Shards only read the frozen arrays and
+  // write disjoint mask bytes, so the pass is race-free and bitwise
+  // independent of the thread count.
+  const auto flip_coins = [this, round_seed, probe](std::size_t shard,
+                                                    std::size_t lo,
+                                                    std::size_t hi) {
+    util::Rng srng(util::derive_seed(round_seed, shard));
+    if (probe != nullptr) srng.attach_probe(probe->shard_slot(shard));
+    std::uint64_t expected_draws = 0;
+    // Resource index whose coin range contains lo.
+    std::size_t i = static_cast<std::size_t>(
+                        std::upper_bound(coin_prefix_.begin(),
+                                         coin_prefix_.end(), lo) -
+                        coin_prefix_.begin()) -
+                    1;
+    std::size_t pos = lo;
+    while (pos < hi) {
+      while (coin_prefix_[i + 1] <= pos) ++i;
+      const std::size_t end = std::min(hi, coin_prefix_[i + 1]);
+      const double p = leave_p_[i];
+      if (p >= 1.0) {
+        // Deterministic all-leave: p is a pure function of the frozen
+        // round-start state, so skipping the draws is thread-invariant.
+        std::fill(flat_mask_.begin() + static_cast<std::ptrdiff_t>(pos),
+                  flat_mask_.begin() + static_cast<std::ptrdiff_t>(end),
+                  std::uint8_t{1});
+      } else if (p > 0.0) {
+        // Integer-threshold coin: success iff the raw 64-bit draw falls
+        // below p * 2^64 (p < 1 keeps the product below 2^64).
+        const auto cut = static_cast<std::uint64_t>(p * 0x1.0p64);
+        // Exactly one draw per coin with 0 < p < 1 — the one shard budget
+        // the stream discipline pins exactly (dsan checks it).
+        expected_draws += end - pos;
+        for (std::size_t c = pos; c < end; ++c) {
+          if (srng() < cut) flat_mask_[c] = 1;
+        }
+      }
+      pos = end;
     }
-    util::parallel_shard(
-        total, kCoinShardGrain, pool_.get(),
-        [this, round_seed,
-         probe](std::size_t shard, std::size_t lo, std::size_t hi) {
-          util::Rng srng(util::derive_seed(round_seed, shard));
-          if (probe != nullptr) srng.attach_probe(probe->shard_slot(shard));
-          std::uint64_t expected_draws = 0;
-          // Resource index whose coin range contains lo.
-          std::size_t i = static_cast<std::size_t>(
-                              std::upper_bound(coin_prefix_.begin(),
-                                               coin_prefix_.end(), lo) -
-                              coin_prefix_.begin()) -
-                          1;
-          std::size_t pos = lo;
-          while (pos < hi) {
-            while (coin_prefix_[i + 1] <= pos) ++i;
-            const std::size_t end = std::min(hi, coin_prefix_[i + 1]);
-            const double p = leave_p_[i];
-            if (p >= 1.0) {
-              // Deterministic all-leave: p is a pure function of the frozen
-              // round-start state, so skipping the draws is thread-invariant.
-              std::fill(flat_mask_.begin() + static_cast<std::ptrdiff_t>(pos),
-                        flat_mask_.begin() + static_cast<std::ptrdiff_t>(end),
-                        std::uint8_t{1});
-            } else if (p > 0.0) {
-              // Integer-threshold coin: success iff the raw 64-bit draw falls
-              // below p * 2^64 (p < 1 keeps the product below 2^64).
-              const auto cut = static_cast<std::uint64_t>(p * 0x1.0p64);
-              // Exactly one draw per coin with 0 < p < 1 — the one shard
-              // budget the stream discipline pins exactly (dsan checks it).
-              expected_draws += end - pos;
-              for (std::size_t c = pos; c < end; ++c) {
-                if (srng() < cut) flat_mask_[c] = 1;
-              }
-            }
-            pos = end;
-          }
-          if (probe != nullptr) {
-            probe->expect_shard_draws(shard, expected_draws);
-          }
-        });
-    if (probe != nullptr && probe->want_phases()) {
-      dsan::Digest d;
-      d.u64(total);
-      for (std::size_t c = 0; c < total; ++c) d.u64(flat_mask_[c]);
-      probe->phase("sample", d.value());
-    }
-  }
+    if (probe != nullptr) probe->expect_shard_draws(shard, expected_draws);
+  };
+  instr_.phase(
+      m_sample_ns_, "exact.sample", "sample",
+      [&] {
+        for (std::size_t i = 0; i < k; ++i) {
+          const ResourceStack stack = std::as_const(state_).stack(over[i]);
+          coin_prefix_[i] = total;
+          total += stack.count();
+          const double phi = stack.phi(*tasks_, threshold(over[i]));
+          leave_p_[i] =
+              leave_probability(config_.alpha, phi, w_max, stack.count());
+        }
+        coin_prefix_[k] = total;
+        flat_mask_.assign(total, 0);
+        if (probe != nullptr) {
+          probe->arm_shards(util::shard_count(total, kCoinShardGrain));
+        }
+        util::parallel_shard(total, kCoinShardGrain, pool_.get(), flip_coins);
+      },
+      [&](dsan::Digest& d) {
+        d.u64(total);
+        for (std::size_t c = 0; c < total; ++c) d.u64(flat_mask_[c]);
+      });
 
   // Phase 1c: apply the removals on the calling thread, in overloaded-list
   // order — single-threaded mutation, deterministic merge.
   movers_.clear();
   mover_origin_.clear();
-  {
-    const obs::PhaseSpan span(sink_, m_merge_ns_, "exact.merge");
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t count = coin_prefix_[i + 1] - coin_prefix_[i];
-      if (count == 0) continue;
-      const std::uint8_t* mask = flat_mask_.data() + coin_prefix_[i];
-      if (std::memchr(mask, 1, count) == nullptr) continue;
-      const std::size_t before = movers_.size();
-      state_.remove_marked(over[i], mask, count, movers_);
-      mover_origin_.insert(mover_origin_.end(), movers_.size() - before,
-                           over[i]);
-    }
-  }
-  if (probe != nullptr && probe->want_phases()) {
-    dsan::Digest d;
-    d.u64(movers_.size());
-    for (std::size_t i = 0; i < movers_.size(); ++i) {
-      d.u64(movers_[i]);
-      d.u64(mover_origin_[i]);
-    }
-    probe->phase("merge", d.value());
-  }
+  instr_.phase(
+      m_merge_ns_, "exact.merge", "merge",
+      [&] {
+        for (std::size_t i = 0; i < k; ++i) {
+          const std::size_t count = coin_prefix_[i + 1] - coin_prefix_[i];
+          if (count == 0) continue;
+          const std::uint8_t* mask = flat_mask_.data() + coin_prefix_[i];
+          if (std::memchr(mask, 1, count) == nullptr) continue;
+          const std::size_t before = movers_.size();
+          state_.remove_marked(over[i], mask, count, movers_);
+          mover_origin_.insert(mover_origin_.end(), movers_.size() - before,
+                               over[i]);
+        }
+      },
+      [&](dsan::Digest& d) {
+        d.u64(movers_.size());
+        for (std::size_t i = 0; i < movers_.size(); ++i) {
+          d.u64(movers_[i]);
+          d.u64(mover_origin_[i]);
+        }
+      });
 
   // Phase 2: scatter to uniformly random resources.
-  {
-    const obs::PhaseSpan span(sink_, m_apply_ns_, "exact.apply");
-    for (std::size_t i = 0; i < movers_.size(); ++i) {
-      const Node dst =
-          sample_destination(n, mover_origin_[i], config_.exclude_self, rng);
-      state_.push(dst, movers_[i]);
-    }
-  }
-  if (probe != nullptr && probe->want_phases()) {
-    dsan::Digest d;
-    dsan::digest_loads(state_.loads(), d);
-    probe->phase("apply", d.value());
-  }
+  instr_.phase(
+      m_apply_ns_, "exact.apply", "apply",
+      [&] {
+        for (std::size_t i = 0; i < movers_.size(); ++i) {
+          const Node dst = sample_destination(n, mover_origin_[i],
+                                              config_.exclude_self, rng);
+          state_.push(dst, movers_[i]);
+        }
+      },
+      [&](dsan::Digest& d) { dsan::digest_loads(state_.loads(), d); });
   if (probe != nullptr) probe->end_step(rng);
 
-  if (sink_.registry != nullptr) {
-    obs::Registry& reg = *sink_.registry;
-    using obs::MetricClass;
-    reg.add(m_coins_, total);
-    reg.add(m_departures_, movers_.size());
-    const OverloadedSet& trk = state_.overloaded_tracker();
-    reg.add(m_flush_checks_, trk.flush_checks() - seen_flush_checks_);
-    reg.add(m_dirty_marks_, trk.dirty_marks() - seen_dirty_marks_);
-    const LoadIndex& idx = trk.load_index();
-    reg.add(m_band_size_, idx.band_size() - seen_band_size_);
-    reg.add(m_bucket_moves_, idx.bucket_moves() - seen_bucket_moves_);
-    reg.add(m_reconciled_, idx.reconciled() - seen_reconciled_);
-    seen_flush_checks_ = trk.flush_checks();
-    seen_dirty_marks_ = trk.dirty_marks();
-    seen_band_size_ = idx.band_size();
-    seen_bucket_moves_ = idx.bucket_moves();
-    seen_reconciled_ = idx.reconciled();
-  }
+  instr_.add(m_coins_, total);
+  instr_.add(m_departures_, movers_.size());
+  deltas_.publish(state_.overloaded_tracker());
   return movers_.size();
 }
 
@@ -336,10 +283,8 @@ RunResult UserControlledEngine::run(const tasks::Placement& placement,
 GroupedUserEngine::GroupedUserEngine(const tasks::TaskSet& ts, Node n,
                                      UserProtocolConfig config)
     : tasks_(&ts), config_(std::move(config)), n_(n) {
-  thresholds_ = resolve_thresholds(config_, n, "GroupedUserEngine");
-  if (config_.alpha <= 0.0) {
-    throw std::invalid_argument("GroupedUserEngine: alpha must be > 0");
-  }
+  thresholds_ = resolve_thresholds(config_, n, "GroupedUserEngine: threshold");
+  util::require_finite_positive(config_.alpha, "GroupedUserEngine: alpha");
   if (n < 2) throw std::invalid_argument("GroupedUserEngine: need n >= 2");
 
   // Build the ascending weight-class table with one pass and a small sorted
@@ -362,35 +307,19 @@ GroupedUserEngine::GroupedUserEngine(const tasks::TaskSet& ts, Node n,
     task_class_[i] = static_cast<std::uint32_t>(it - class_weights_.begin());
   }
   pool_ = make_phase1_pool(config_.options.threads);
-  sink_.registry = config_.options.registry;
-  sink_.trace = config_.options.trace;
-  if (sink_.registry != nullptr) {
-    obs::Registry& reg = *sink_.registry;
+  instr_ = {{config_.options.registry, config_.options.trace},
+            config_.options.dsan};
+  if (obs::Registry* reg = instr_.sink.registry) {
     using obs::MetricClass;
-    m_sample_ns_ = reg.counter("grouped.sample_ns", MetricClass::kTiming);
-    m_apply_ns_ = reg.counter("grouped.apply_ns", MetricClass::kTiming);
+    m_sample_ns_ = reg->counter("grouped.sample_ns", MetricClass::kTiming);
+    m_apply_ns_ = reg->counter("grouped.apply_ns", MetricClass::kTiming);
     m_departure_groups_ =
-        reg.counter("grouped.departure_groups", MetricClass::kDeterministic);
+        reg->counter("grouped.departure_groups", MetricClass::kDeterministic);
     m_departures_ =
-        reg.counter("grouped.departures", MetricClass::kDeterministic);
-    m_flush_checks_ =
-        reg.counter("grouped.flush_checks", MetricClass::kDeterministic);
-    m_dirty_marks_ =
-        reg.counter("grouped.dirty_marks", MetricClass::kDeterministic);
-    m_band_size_ = reg.counter("index.band_size", MetricClass::kDeterministic);
-    m_bucket_moves_ =
-        reg.counter("index.bucket_moves", MetricClass::kDeterministic);
-    m_reconciled_ =
-        reg.counter("index.reconciled", MetricClass::kDeterministic);
-    seen_flush_checks_ = over_.flush_checks();
-    seen_dirty_marks_ = over_.dirty_marks();
-    seen_band_size_ = over_.load_index().band_size();
-    seen_bucket_moves_ = over_.load_index().bucket_moves();
-    seen_reconciled_ = over_.load_index().reconciled();
+        reg->counter("grouped.departures", MetricClass::kDeterministic);
   }
-  if (pool_ && sink_.attached()) {
-    pool_->attach_probe(sink_.registry, sink_.trace);
-  }
+  deltas_.attach(instr_.sink.registry, "grouped", over_);
+  instr_.attach_pool(pool_.get());
 }
 
 void GroupedUserEngine::reset(const tasks::Placement& placement) {
@@ -461,7 +390,7 @@ double GroupedUserEngine::potential() const {
 std::size_t GroupedUserEngine::step(util::Rng& rng) {
   const std::size_t C = class_weights_.size();
   const double w_max = tasks_->max_weight();
-  dsan::StepProbe* const probe = config_.options.dsan;
+  dsan::StepProbe* const probe = instr_.probe;
   if (probe != nullptr) probe->begin_step(rng);
   // Per-round base seed for the sharded sampler (see the header comment).
   const std::uint64_t round_seed = rng();
@@ -476,107 +405,89 @@ std::size_t GroupedUserEngine::step(util::Rng& rng) {
   const std::size_t shards = util::shard_count(over.size(), kShardGrain);
   if (shard_bufs_.size() < shards) shard_bufs_.resize(shards);
   if (probe != nullptr) probe->arm_shards(shards);
-  {
-    const obs::PhaseSpan span(sink_, m_sample_ns_, "grouped.sample");
-    util::parallel_shard(
-        over.size(), kShardGrain, pool_.get(),
-        [this, &over, C, w_max, round_seed,
-         probe](std::size_t shard, std::size_t lo, std::size_t hi) {
-          std::vector<Departure>& buf = shard_bufs_[shard];
-          buf.clear();
-          util::Rng srng(util::derive_seed(round_seed, shard));
-          // Binomial inversion draws a variable count, so no exact budget
-          // is declared — the probe records the actual (deterministic)
-          // draw count into the round fingerprint instead.
-          if (probe != nullptr) srng.attach_probe(probe->shard_slot(shard));
-          for (std::size_t i = lo; i < hi; ++i) {
-            const Node r = over[i];
-            const double phi = phi_of(r);
-            const double p =
-                leave_probability(config_.alpha, phi, w_max, task_counts_[r]);
-            if (p <= 0.0) continue;
-            for (std::size_t c = 0; c < C; ++c) {
-              const std::uint32_t k =
-                  counts_[static_cast<std::size_t>(r) * C + c];
-              if (k == 0) continue;
-              const auto leavers =
-                  static_cast<std::uint32_t>(util::binomial(srng, k, p));
-              if (leavers > 0) {
-                buf.push_back({r, static_cast<std::uint32_t>(c), leavers});
-              }
-            }
-          }
-        });
-  }
-  if (probe != nullptr && probe->want_phases()) {
-    dsan::Digest d;
-    d.u64(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      d.u64(shard_bufs_[s].size());
-      for (const Departure& dep : shard_bufs_[s]) {
-        d.u64(dep.src);
-        d.u64(dep.cls);
-        d.u64(dep.count);
+  const auto sample_shard = [this, &over, C, w_max, round_seed, probe](
+                                std::size_t shard, std::size_t lo,
+                                std::size_t hi) {
+    std::vector<Departure>& buf = shard_bufs_[shard];
+    buf.clear();
+    util::Rng srng(util::derive_seed(round_seed, shard));
+    // Binomial inversion draws a variable count, so no exact budget is
+    // declared — the probe records the actual (deterministic) draw count
+    // into the round fingerprint instead.
+    if (probe != nullptr) srng.attach_probe(probe->shard_slot(shard));
+    for (std::size_t i = lo; i < hi; ++i) {
+      const Node r = over[i];
+      const double phi = phi_of(r);
+      const double p =
+          leave_probability(config_.alpha, phi, w_max, task_counts_[r]);
+      if (p <= 0.0) continue;
+      for (std::size_t c = 0; c < C; ++c) {
+        const std::uint32_t k = counts_[static_cast<std::size_t>(r) * C + c];
+        if (k == 0) continue;
+        const auto leavers =
+            static_cast<std::uint32_t>(util::binomial(srng, k, p));
+        if (leavers > 0) {
+          buf.push_back({r, static_cast<std::uint32_t>(c), leavers});
+        }
       }
     }
-    probe->phase("sample", d.value());
-  }
+  };
+  instr_.phase(
+      m_sample_ns_, "grouped.sample", "sample",
+      [&] {
+        util::parallel_shard(over.size(), kShardGrain, pool_.get(),
+                             sample_shard);
+      },
+      [&](dsan::Digest& d) {
+        d.u64(shards);
+        for (std::size_t s = 0; s < shards; ++s) {
+          d.u64(shard_bufs_[s].size());
+          for (const Departure& dep : shard_bufs_[s]) {
+            d.u64(dep.src);
+            d.u64(dep.cls);
+            d.u64(dep.count);
+          }
+        }
+      });
 
   // Phase 2: apply in shard order on the calling thread — remove, then
   // scatter each departing task independently from the caller's stream.
   std::size_t migrations = 0;
   std::size_t departure_groups = 0;
-  {
-    const obs::PhaseSpan span(sink_, m_apply_ns_, "grouped.apply");
-    for (std::size_t s = 0; s < shards; ++s) {
-      departure_groups += shard_bufs_[s].size();
-      for (const Departure& d : shard_bufs_[s]) {
-        counts_[static_cast<std::size_t>(d.src) * C + d.cls] -= d.count;
-        const double w = class_weights_[d.cls];
-        loads_[d.src] -= static_cast<double>(d.count) * w;
-        task_counts_[d.src] -= d.count;
-        over_.mark_dirty(d.src);
-      }
-    }
-    for (std::size_t s = 0; s < shards; ++s) {
-      for (const Departure& d : shard_bufs_[s]) {
-        const double w = class_weights_[d.cls];
-        for (std::uint32_t i = 0; i < d.count; ++i) {
-          const Node dst =
-              sample_destination(n_, d.src, config_.exclude_self, rng);
-          ++counts_[static_cast<std::size_t>(dst) * C + d.cls];
-          loads_[dst] += w;
-          ++task_counts_[dst];
-          over_.mark_dirty(dst);
-          ++migrations;
+  instr_.phase(
+      m_apply_ns_, "grouped.apply", "apply",
+      [&] {
+        for (std::size_t s = 0; s < shards; ++s) {
+          departure_groups += shard_bufs_[s].size();
+          for (const Departure& d : shard_bufs_[s]) {
+            counts_[static_cast<std::size_t>(d.src) * C + d.cls] -= d.count;
+            const double w = class_weights_[d.cls];
+            loads_[d.src] -= static_cast<double>(d.count) * w;
+            task_counts_[d.src] -= d.count;
+            over_.mark_dirty(d.src);
+          }
         }
-      }
-    }
-  }
-  if (probe != nullptr && probe->want_phases()) {
-    dsan::Digest d;
-    dsan::digest_loads(loads_, d);
-    probe->phase("apply", d.value());
-  }
+        for (std::size_t s = 0; s < shards; ++s) {
+          for (const Departure& d : shard_bufs_[s]) {
+            const double w = class_weights_[d.cls];
+            for (std::uint32_t i = 0; i < d.count; ++i) {
+              const Node dst =
+                  sample_destination(n_, d.src, config_.exclude_self, rng);
+              ++counts_[static_cast<std::size_t>(dst) * C + d.cls];
+              loads_[dst] += w;
+              ++task_counts_[dst];
+              over_.mark_dirty(dst);
+              ++migrations;
+            }
+          }
+        }
+      },
+      [&](dsan::Digest& d) { dsan::digest_loads(loads_, d); });
   if (probe != nullptr) probe->end_step(rng);
 
-  if (sink_.registry != nullptr) {
-    obs::Registry& reg = *sink_.registry;
-    using obs::MetricClass;
-    reg.add(m_departure_groups_, departure_groups);
-    reg.add(m_departures_, migrations);
-    reg.add(m_flush_checks_, over_.flush_checks() - seen_flush_checks_);
-    reg.add(m_dirty_marks_, over_.dirty_marks() - seen_dirty_marks_);
-    const LoadIndex& idx = over_.load_index();
-    reg.add(m_band_size_, idx.band_size() - seen_band_size_);
-    reg.add(m_bucket_moves_, idx.bucket_moves() - seen_bucket_moves_);
-    reg.add(m_reconciled_, idx.reconciled() - seen_reconciled_);
-    seen_flush_checks_ = over_.flush_checks();
-    seen_dirty_marks_ = over_.dirty_marks();
-    seen_band_size_ = idx.band_size();
-    seen_bucket_moves_ = idx.bucket_moves();
-    seen_reconciled_ = idx.reconciled();
-  }
+  instr_.add(m_departure_groups_, departure_groups);
+  instr_.add(m_departures_, migrations);
+  deltas_.publish(over_);
   return migrations;
 }
 

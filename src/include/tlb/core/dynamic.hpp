@@ -25,11 +25,11 @@
 #include <memory>
 #include <vector>
 
+#include "tlb/core/instrument.hpp"
 #include "tlb/core/load_stats.hpp"
 #include "tlb/core/overloaded_set.hpp"
 #include "tlb/core/threshold.hpp"
 #include "tlb/graph/graph.hpp"
-#include "tlb/obs/profile.hpp"
 #include "tlb/util/rng.hpp"
 #include "tlb/util/stats.hpp"
 #include "tlb/util/thread_pool.hpp"
@@ -42,11 +42,6 @@ namespace tlb::engine {
 struct DriveOptions;
 class RoundObserver;
 }
-
-namespace tlb::dsan {
-class Digest;
-class StepProbe;
-}  // namespace tlb::dsan
 
 namespace tlb::core {
 
@@ -119,10 +114,6 @@ class DynamicUserEngine {
   /// (optional, not owned) sees the measured rounds like any drive.
   DynamicMetrics run(const engine::DriveOptions& opt, util::Rng& rng,
                      engine::RoundObserver* observer = nullptr);
-
-  /// Deprecated forwarding overload (pre-driver signature); will be removed
-  /// next PR. Prefer run(DriveOptions, rng).
-  DynamicMetrics run(long warmup, long measure, util::Rng& rng);
 
   // engine::Balancer view (driver metrics + observers).
   /// True iff no load exceeds the current threshold.
@@ -221,18 +212,13 @@ class DynamicUserEngine {
   std::unique_ptr<util::ThreadPool> pool_;          // phase-1 workers
   std::vector<std::vector<Departure>> shard_bufs_;  // per-shard output
 
-  // Observability: "dynamic.*" phase spans + deterministic churn/cost
-  // counters, wired from DynamicConfig::registry/trace in the constructor.
-  obs::Sink sink_;
+  // Observability: "dynamic.*" phase spans, phase digests and
+  // deterministic churn/cost counters, wired from DynamicConfig in the
+  // constructor.
+  Instruments instr_;
+  TrackerDeltas deltas_;
   obs::MetricId m_arrivals_ns_, m_completions_ns_, m_sample_ns_, m_apply_ns_;
-  obs::MetricId m_arrivals_, m_completions_, m_crashes_,
-      m_threshold_changes_, m_flush_checks_, m_dirty_marks_;
-  obs::MetricId m_band_size_, m_bucket_moves_, m_reconciled_;
-  std::uint64_t seen_flush_checks_ = 0;
-  std::uint64_t seen_dirty_marks_ = 0;
-  std::uint64_t seen_band_size_ = 0;
-  std::uint64_t seen_bucket_moves_ = 0;
-  std::uint64_t seen_reconciled_ = 0;
+  obs::MetricId m_arrivals_, m_completions_, m_crashes_, m_threshold_changes_;
 };
 
 }  // namespace tlb::core

@@ -1,9 +1,8 @@
 #pragma once
-// Shared result/trace types for protocol runs.
+// Shared result and option types for protocol runs.
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace tlb::engine {
 class RoundObserver;
@@ -32,18 +31,12 @@ struct RunResult {
   double threshold = 0.0;
   /// Maximum load at the end of the run.
   double final_max_load = 0.0;
-  /// Potential at the start of each round (filled only when tracing is on;
-  /// trace[t] = Φ(t), with one trailing entry for the final state).
-  std::vector<double> potential_trace;
-  /// Number of overloaded resources at the start of each round (tracing only).
-  std::vector<std::uint32_t> overloaded_trace;
 };
 
-/// Tracing / safety knobs shared by both engines.
+/// Loop, safety and observability knobs shared by the engines. Per-round
+/// traces come from observers (engine::PotentialTrace, OverloadedTrace).
 struct EngineOptions {
   long max_rounds = 10000000;      ///< hard stop; result.balanced says whether it hit
-  bool record_potential = false;   ///< fill RunResult::potential_trace
-  bool record_overloaded = false;  ///< fill RunResult::overloaded_trace
   bool paranoid_checks = false;    ///< run SystemState::check_invariants each round
   /// Worker threads for the parallel phase-1 departure sampling in the
   /// user-protocol engines (exact / grouped / dynamic): 1 = sample on the
@@ -56,8 +49,8 @@ struct EngineOptions {
   // --- Observability (all optional, none owned, all determinism-neutral:
   // observers never touch the RNG and probes only read clocks) ---
 
-  /// Extra observer appended to the run()'s observer list (e.g. a
-  /// JsonTraceSink or obs::MetricsObserver supplied by the caller).
+  /// Observer run() attaches to the drive (e.g. an engine::PotentialTrace,
+  /// a JsonTraceSink or an obs::MetricsObserver supplied by the caller).
   engine::RoundObserver* observer = nullptr;
   /// Metrics registry the engine and driver report counters/timings into.
   /// nullptr (the default) = fully detached: no handles registered, no

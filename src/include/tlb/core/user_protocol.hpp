@@ -37,17 +37,13 @@
 #include <optional>
 #include <vector>
 
+#include "tlb/core/instrument.hpp"
 #include "tlb/core/metrics.hpp"
 #include "tlb/core/overloaded_set.hpp"
 #include "tlb/core/system_state.hpp"
-#include "tlb/obs/profile.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/util/rng.hpp"
 #include "tlb/util/thread_pool.hpp"
-
-namespace tlb::dsan {
-class Digest;
-}  // namespace tlb::dsan
 
 namespace tlb::core {
 
@@ -142,18 +138,12 @@ class UserControlledEngine {
   std::vector<std::size_t> coin_prefix_;  // scratch: flat coin index bounds
   std::vector<double> leave_p_;           // scratch: per-overloaded p
   std::vector<std::uint8_t> flat_mask_;   // scratch: flat departure mask
-  // Observability: "exact.*" phase spans + deterministic cost counters,
-  // wired from EngineOptions::registry/trace in the constructor. Detached
-  // (the default) the spans take no timestamps.
-  obs::Sink sink_;
+  // Observability: "exact.*" phase spans, phase digests and deterministic
+  // cost counters, wired from EngineOptions in the constructor.
+  Instruments instr_;
+  TrackerDeltas deltas_;
   obs::MetricId m_sample_ns_, m_merge_ns_, m_apply_ns_;
-  obs::MetricId m_coins_, m_departures_, m_flush_checks_, m_dirty_marks_;
-  obs::MetricId m_band_size_, m_bucket_moves_, m_reconciled_;
-  std::uint64_t seen_flush_checks_ = 0;  // tracker counters are lifetime;
-  std::uint64_t seen_dirty_marks_ = 0;   // we export per-step deltas
-  std::uint64_t seen_band_size_ = 0;
-  std::uint64_t seen_bucket_moves_ = 0;
-  std::uint64_t seen_reconciled_ = 0;
+  obs::MetricId m_coins_, m_departures_;
 };
 
 /// Grouped (binomial-per-weight-class) engine. Requires a task set with at
@@ -244,18 +234,12 @@ class GroupedUserEngine {
   mutable OverloadedSet over_;                // incremental overloaded set
   std::unique_ptr<util::ThreadPool> pool_;    // phase-1 workers (threads != 1)
   std::vector<std::vector<Departure>> shard_bufs_;  // per-shard phase-1 output
-  // Observability: "grouped.*" phase spans + deterministic cost counters
-  // (same wiring as the exact engine).
-  obs::Sink sink_;
+  // Observability: "grouped.*" phase spans, phase digests and cost
+  // counters (same wiring as the exact engine).
+  Instruments instr_;
+  TrackerDeltas deltas_;
   obs::MetricId m_sample_ns_, m_apply_ns_;
-  obs::MetricId m_departure_groups_, m_departures_, m_flush_checks_,
-      m_dirty_marks_;
-  obs::MetricId m_band_size_, m_bucket_moves_, m_reconciled_;
-  std::uint64_t seen_flush_checks_ = 0;
-  std::uint64_t seen_dirty_marks_ = 0;
-  std::uint64_t seen_band_size_ = 0;
-  std::uint64_t seen_bucket_moves_ = 0;
-  std::uint64_t seen_reconciled_ = 0;
+  obs::MetricId m_departure_groups_, m_departures_;
 };
 
 }  // namespace tlb::core

@@ -33,8 +33,7 @@
 
 namespace tlb::engine {
 
-/// Loop-level knobs (everything that used to live in EngineOptions minus
-/// the tracing bools, which observers replaced, and `threads`, which is an
+/// Loop-level knobs (the EngineOptions fields minus `threads`, which is an
 /// engine-construction knob, not a loop knob).
 struct DriveOptions {
   long max_rounds = 10000000;  ///< run-to-balance hard stop
@@ -51,7 +50,7 @@ struct DriveOptions {
   obs::Registry* registry = nullptr;  ///< drive.rounds / round timings
   obs::TraceWriter* trace = nullptr;  ///< per-round "drive.round" spans
 
-  /// Lift the loop-level fields out of the legacy options struct.
+  /// Lift the loop-level fields out of an engine's options.
   static DriveOptions from(const core::EngineOptions& opt) {
     DriveOptions d;
     d.max_rounds = opt.max_rounds;
@@ -63,10 +62,8 @@ struct DriveOptions {
 };
 
 /// Run `balancer` under `opt`, notifying `observer` (may be null), and
-/// return the accumulated RunResult. potential_trace/overloaded_trace stay
-/// empty — attach PotentialTrace/OverloadedTrace observers and move their
-/// vectors in (run_with_options below does exactly that for the legacy
-/// EngineOptions bools).
+/// return the accumulated RunResult. Per-round series come from observers
+/// (PotentialTrace, OverloadedTrace, ...).
 template <Balancer B>
 core::RunResult drive(B& balancer, util::Rng& rng, const DriveOptions& opt,
                       RoundObserver* observer = nullptr) {
@@ -134,26 +131,12 @@ core::RunResult drive(B& balancer, util::Rng& rng, const DriveOptions& opt,
   return result;
 }
 
-/// The legacy-run shim shared by every engine's run(rng): translate the
-/// EngineOptions tracing bools into trace observers, drive, and move the
-/// traces into the RunResult — byte-for-byte what the six deleted loop
-/// copies produced.
+/// The run(rng) shim shared by every engine: drive under the loop fields
+/// of EngineOptions, with its caller-supplied observer (if any) attached.
 template <Balancer B>
 core::RunResult run_with_options(B& balancer, const core::EngineOptions& opt,
                                  util::Rng& rng) {
-  PotentialTrace potential;
-  OverloadedTrace overloaded;
-  ObserverList observers;
-  if (opt.record_potential) observers.add(&potential);
-  if (opt.record_overloaded) observers.add(&overloaded);
-  // Caller-supplied observer runs after the built-in traces, so the legacy
-  // trace shapes are unaffected by whatever it does.
-  if (opt.observer != nullptr) observers.add(opt.observer);
-  core::RunResult result =
-      drive(balancer, rng, DriveOptions::from(opt), observers.or_null());
-  if (opt.record_potential) result.potential_trace = potential.take();
-  if (opt.record_overloaded) result.overloaded_trace = overloaded.take();
-  return result;
+  return drive(balancer, rng, DriveOptions::from(opt), opt.observer);
 }
 
 /// The reset-then-run convenience every engine used to duplicate as its

@@ -1,12 +1,10 @@
 #pragma once
 // Composable round observers for engine::drive.
 //
-// The legacy engines baked two tracing flags (record_potential,
-// record_overloaded) into EngineOptions and copied the bookkeeping into
-// every run() loop. Observers replace the bools: the driver calls the hooks
-// below at well-defined points, and callers compose exactly the
-// instrumentation they want — potential traces, overloaded traces, early
-// stopping, per-round JSON — without the engines knowing any of it exists.
+// The driver calls the hooks below at well-defined points, and callers
+// compose exactly the instrumentation they want — potential traces,
+// overloaded traces, early stopping, per-round JSON — without the engines
+// knowing any of it exists.
 //
 // Hook order per measured round t (bitwise-compatible with the legacy
 // loops: no hook may touch the caller's RNG):
@@ -16,7 +14,7 @@
 //   step()
 //   on_round_end(view, t, mig)  round-end state + migrations of round t
 // and once after the loop:
-//   on_finish(view)             final state (legacy traces' trailing entry)
+//   on_finish(view)             final state (the traces' trailing entry)
 
 #include <cstdint>
 #include <functional>
@@ -56,7 +54,7 @@ class RoundObserver {
 };
 
 /// Records Φ at the start of every round plus one trailing entry for the
-/// final state — the exact shape of RunResult::potential_trace.
+/// final state: trace()[t] = Φ(t).
 class PotentialTrace final : public RoundObserver {
  public:
   void on_round(const BalancerView& view, long) override {
@@ -72,8 +70,7 @@ class PotentialTrace final : public RoundObserver {
   std::vector<double> trace_;
 };
 
-/// Records the overloaded-resource count, same shape as
-/// RunResult::overloaded_trace.
+/// Records the overloaded-resource count, same shape as PotentialTrace.
 class OverloadedTrace final : public RoundObserver {
  public:
   void on_round(const BalancerView& view, long) override {

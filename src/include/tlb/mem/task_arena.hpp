@@ -194,8 +194,6 @@ class TaskArena {
                      std::vector<TaskId>& out);
   /// Empty one resource (keeps its span capacity for reuse).
   void clear(Node r) noexcept;
-  /// Empty every resource, release nothing.
-  void clear_all() noexcept;
 
   // --- Paper quantities ----------------------------------------------------
 

@@ -35,9 +35,6 @@ class ArrivalProcess {
   /// Mean arrivals per round (for sizing warm-up and sanity checks).
   virtual double mean_rate() const noexcept = 0;
 
-  /// True iff the process is the static batch (run-to-balance) setting.
-  virtual bool is_batch() const noexcept { return false; }
-
   /// Canonical spec string; parse_arrival_process() round-trips it.
   virtual std::string name() const = 0;
 };
@@ -47,7 +44,6 @@ class BatchArrivals final : public ArrivalProcess {
  public:
   std::uint64_t arrivals(long round, util::Rng& rng) const override;
   double mean_rate() const noexcept override { return 0.0; }
-  bool is_batch() const noexcept override { return true; }
   std::string name() const override;
 };
 

@@ -216,14 +216,6 @@ void TaskArena::clear(Node r) noexcept {
   accepted_count_[r] = 0;
 }
 
-void TaskArena::clear_all() noexcept {
-  std::fill(count_.begin(), count_.end(), 0);
-  std::fill(load_.begin(), load_.end(), 0.0);
-  std::fill(accepted_load_.begin(), accepted_load_.end(), 0.0);
-  std::fill(accepted_count_.begin(), accepted_count_.end(), 0);
-  live_ = 0;
-}
-
 double TaskArena::height_at(Node r, std::size_t pos) const {
   if (pos >= count_[r]) {
     throw std::out_of_range("height_at: position beyond stack top");

@@ -18,6 +18,7 @@
 #include "tlb/sim/report.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/workload/arrival.hpp"
+#include "tlb/util/validate.hpp"
 #include "tlb/workload/weight_models.hpp"
 
 namespace tlb::workload {
@@ -247,9 +248,8 @@ Scenario::Scenario(ScenarioSpec spec, ScenarioParams params)
   if (params_.load_factor < 1) {
     throw std::invalid_argument("scenario: load_factor >= 1");
   }
-  if (params_.threshold == core::ThresholdKind::kAboveAverage &&
-      params_.eps <= 0.0) {
-    throw std::invalid_argument("scenario: eps > 0 for the above-average threshold");
+  if (params_.threshold == core::ThresholdKind::kAboveAverage) {
+    util::require_finite_positive(params_.eps, "scenario: above-average eps");
   }
 }
 
@@ -354,22 +354,20 @@ ScenarioResult Scenario::run(std::size_t trials, std::uint64_t seed,
         // make the counters race-free).
         engine::RoundObserver* const observer =
             trial == 0 ? p.round_observer : nullptr;
-        engine::DriveOptions drive_opt;
-        drive_opt.max_rounds = p.max_rounds;
-        drive_opt.paranoid_checks = p.paranoid;
-        drive_opt.registry = p.registry;
-        drive_opt.trace = p.trace;
+        core::EngineOptions options;
+        options.max_rounds = p.max_rounds;
+        options.paranoid_checks = p.paranoid;
+        options.registry = p.registry;
+        options.trace = p.trace;
+        options.observer = observer;
+        const auto drive_opt = engine::DriveOptions::from(options);
         switch (protocol) {
           case ProtocolKind::kUser: {
             core::UserProtocolConfig cfg;
             cfg.threshold = T;
             cfg.alpha = p.alpha;
-            cfg.options.max_rounds = p.max_rounds;
-            cfg.options.paranoid_checks = p.paranoid;
+            cfg.options = options;
             cfg.options.threads = p.engine_threads;
-            cfg.options.registry = p.registry;
-            cfg.options.trace = p.trace;
-            cfg.options.observer = observer;
             // Stateful probe: trial 0 only, like the round observer.
             cfg.options.dsan = trial == 0 ? p.dsan : nullptr;
             return run_user_trial(ts, n, cfg, start(), rng);
@@ -378,11 +376,7 @@ ScenarioResult Scenario::run(std::size_t trials, std::uint64_t seed,
             core::ResourceProtocolConfig cfg;
             cfg.threshold = T;
             cfg.walk = walk;
-            cfg.options.max_rounds = p.max_rounds;
-            cfg.options.paranoid_checks = p.paranoid;
-            cfg.options.registry = p.registry;
-            cfg.options.trace = p.trace;
-            cfg.options.observer = observer;
+            cfg.options = options;
             core::ResourceControlledEngine engine(g, ts, cfg);
             return engine.run(start(), rng);
           }
@@ -391,11 +385,7 @@ ScenarioResult Scenario::run(std::size_t trials, std::uint64_t seed,
             cfg.threshold = T;
             cfg.alpha = p.alpha;
             cfg.walk = walk;
-            cfg.options.max_rounds = p.max_rounds;
-            cfg.options.paranoid_checks = p.paranoid;
-            cfg.options.registry = p.registry;
-            cfg.options.trace = p.trace;
-            cfg.options.observer = observer;
+            cfg.options = options;
             core::GraphUserEngine engine(g, ts, cfg);
             return engine.run(start(), rng);
           }
@@ -405,11 +395,7 @@ ScenarioResult Scenario::run(std::size_t trials, std::uint64_t seed,
             cfg.resource_probability = beta;
             cfg.alpha = p.alpha;
             cfg.walk = walk;
-            cfg.options.max_rounds = p.max_rounds;
-            cfg.options.paranoid_checks = p.paranoid;
-            cfg.options.registry = p.registry;
-            cfg.options.trace = p.trace;
-            cfg.options.observer = observer;
+            cfg.options = options;
             core::MixedProtocolEngine engine(g, ts, cfg);
             return engine.run(start(), rng);
           }
@@ -432,11 +418,7 @@ ScenarioResult Scenario::run(std::size_t trials, std::uint64_t seed,
           case ProtocolKind::kSelfish: {
             baselines::SelfishConfig cfg;
             cfg.stop_threshold = T;
-            cfg.options.max_rounds = p.max_rounds;
-            cfg.options.paranoid_checks = p.paranoid;
-            cfg.options.registry = p.registry;
-            cfg.options.trace = p.trace;
-            cfg.options.observer = observer;
+            cfg.options = options;
             baselines::SelfishReallocEngine eng(ts, n, cfg);
             return eng.run(start(), rng);
           }

@@ -7,12 +7,18 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
+
+#include "tlb/engine/driver.hpp"
 
 namespace {
 
 using namespace tlb::core;
 using tlb::util::Rng;
+
+/// `warmup` unrecorded rounds, then `measure` recorded ones.
+tlb::engine::DriveOptions window(long warmup, long measure) {
+  return {.warmup = warmup, .measure = measure};
+}
 
 DynamicConfig base_config() {
   DynamicConfig cfg;
@@ -27,7 +33,7 @@ DynamicConfig base_config() {
 TEST(DynamicTest, PopulationReachesSteadyState) {
   DynamicUserEngine engine(base_config());
   Rng rng(1);
-  const auto metrics = engine.run(/*warmup=*/2000, /*measure=*/2000, rng);
+  const auto metrics = engine.run(window(2000, 2000), rng);
   // Steady state: arrivals/round == completions/round in expectation, so
   // population ~ rate/completion = 1000, within generous tolerance.
   EXPECT_NEAR(metrics.population.mean(), 1000.0, 200.0);
@@ -39,7 +45,7 @@ TEST(DynamicTest, PopulationReachesSteadyState) {
 TEST(DynamicTest, UniformArrivalsKeepOverloadRare) {
   DynamicUserEngine engine(base_config());
   Rng rng(2);
-  const auto metrics = engine.run(2000, 3000, rng);
+  const auto metrics = engine.run(window(2000, 3000), rng);
   // With uniform arrivals and 20% headroom, overloaded resources should be
   // a small minority on average.
   EXPECT_LT(metrics.overloaded_fraction.mean(), 0.10);
@@ -51,7 +57,7 @@ TEST(DynamicTest, HotspotArrivalsAreAbsorbed) {
   cfg.hotspot_arrivals = true;  // everything lands on resource 0
   DynamicUserEngine engine(cfg);
   Rng rng(3);
-  const auto metrics = engine.run(2000, 3000, rng);
+  const auto metrics = engine.run(window(2000, 3000), rng);
   // The protocol must keep draining the hotspot: overload stays confined to
   // ~the hotspot itself (1% of resources) and the system keeps moving tasks.
   EXPECT_LT(metrics.overloaded_fraction.mean(), 0.05);
@@ -63,7 +69,7 @@ TEST(DynamicTest, CrashesAreRecoveredFrom) {
   cfg.crash_rate = 0.05;  // a crash every ~20 rounds
   DynamicUserEngine engine(cfg);
   Rng rng(4);
-  const auto metrics = engine.run(2000, 4000, rng);
+  const auto metrics = engine.run(window(2000, 4000), rng);
   EXPECT_GT(metrics.crashes, 100u);  // the scenario actually exercised crashes
   // Scattered fail-over load is re-balanced: overload stays bounded.
   EXPECT_LT(metrics.overloaded_fraction.mean(), 0.15);
@@ -118,20 +124,6 @@ TEST(DynamicTest, RejectsBadConfig) {
   EXPECT_THROW(DynamicUserEngine{cfg}, std::invalid_argument);
   cfg = base_config();
   cfg.classes.clear();
-  EXPECT_THROW(DynamicUserEngine{cfg}, std::invalid_argument);
-}
-
-TEST(DynamicTest, RejectsNonFiniteClassWeights) {
-  const double kNan = std::numeric_limits<double>::quiet_NaN();
-  const double kInf = std::numeric_limits<double>::infinity();
-  DynamicConfig cfg = base_config();
-  cfg.classes = {{kNan, 1.0}};
-  EXPECT_THROW(DynamicUserEngine{cfg}, std::invalid_argument);
-  cfg = base_config();
-  cfg.classes = {{kInf, 1.0}};
-  EXPECT_THROW(DynamicUserEngine{cfg}, std::invalid_argument);
-  cfg = base_config();
-  cfg.classes = {{2.0, kNan}};
   EXPECT_THROW(DynamicUserEngine{cfg}, std::invalid_argument);
 }
 

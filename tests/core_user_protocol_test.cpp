@@ -10,6 +10,7 @@
 
 #include "tlb/core/potential.hpp"
 #include "tlb/core/threshold.hpp"
+#include "tlb/engine/observer.hpp"
 #include "tlb/sim/runner.hpp"
 #include "tlb/tasks/weights.hpp"
 
@@ -59,15 +60,17 @@ TEST(UserProtocolTest, PotentialTraceEndsAtZero) {
   const TaskSet ts = tlb::tasks::single_heavy(200, 16.0);
   const double T = threshold_value(ThresholdKind::kAboveAverage, ts, n, 0.2);
   UserProtocolConfig cfg = make_config(T);
-  cfg.options.record_potential = true;
+  tlb::engine::PotentialTrace potential;
+  cfg.options.observer = &potential;
   UserControlledEngine engine(ts, n, cfg);
   Rng rng(3);
   const RunResult r = engine.run(all_on_one(ts), rng);
   ASSERT_TRUE(r.balanced);
-  ASSERT_FALSE(r.potential_trace.empty());
-  EXPECT_GT(r.potential_trace.front(), 0.0);
-  EXPECT_DOUBLE_EQ(r.potential_trace.back(), 0.0);
-  for (double phi : r.potential_trace) EXPECT_GE(phi, 0.0);
+  const std::vector<double>& trace = potential.trace();
+  ASSERT_FALSE(trace.empty());
+  EXPECT_GT(trace.front(), 0.0);
+  EXPECT_DOUBLE_EQ(trace.back(), 0.0);
+  for (double phi : trace) EXPECT_GE(phi, 0.0);
 }
 
 TEST(UserProtocolTest, TightThresholdTerminates) {

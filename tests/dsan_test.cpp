@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -193,6 +194,95 @@ TEST(DsanEngineTest, ProbeDetachedRowsAreStateOnlyAndStillStable) {
   ASSERT_GT(rows.size(), 1u);
   for (const dsan::Row& r : rows) EXPECT_FALSE(r.has_draws);
   EXPECT_EQ(fps(rows), fps(run()));
+}
+
+// ---------------------------------------------------------------------------
+// Phase sub-digests, pinned. The golden traces record no phase digests, so
+// these constants are what catches a phase digest losing or changing an
+// input. On a deliberate change, the failure message prints the new table.
+
+/// Step `engine` five times with every phase recorded and compare each
+/// step's phase names and sub-digests (row-major, one row per step).
+template <class Engine>
+void expect_phases(Engine& engine, dsan::StepProbe& probe, std::uint64_t seed,
+                   const std::vector<std::string>& names,
+                   const std::vector<std::uint64_t>& digests) {
+  probe.set_detail_step(dsan::StepProbe::kDetailAll);
+  Rng rng(seed);
+  std::vector<std::uint64_t> actual;
+  std::string table;
+  for (int t = 0; t < 5; ++t) {
+    engine.step(rng);
+    std::vector<std::string> got;
+    for (const dsan::PhaseDigest& p : probe.take().phases) {
+      got.push_back(p.name);
+      actual.push_back(p.digest);
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "0x%016llxULL, ",
+                    static_cast<unsigned long long>(p.digest));
+      table += buf;
+    }
+    table += "\n";
+    EXPECT_EQ(got, names) << "step " << t;
+  }
+  EXPECT_EQ(actual, digests) << "actual digests:\n" << table;
+}
+
+TEST(DsanPhaseTest, ExactPhaseDigestsArePinned) {
+  const graph::Node n = 16;
+  const TaskSet ts = continuous_tasks(256, 0xD5B1);
+  for (std::size_t threads : {1, 2}) {
+    dsan::StepProbe probe;
+    core::UserControlledEngine engine(ts, n,
+                                      user_config(ts, n, threads, &probe));
+    engine.reset(tasks::all_on_one(ts));
+    expect_phases(
+        engine, probe, 43, {"sample", "merge", "apply"},
+        {0x5e58f4987b07b18bULL, 0xc24487b58cc5cea9ULL, 0x6ed0aa1c35f41743ULL,
+         0xa3324529170df15dULL, 0x52c108799c08b6d4ULL, 0x478d71df1b63e0bfULL,
+         0xd1705f8851910bbeULL, 0xa7a74ffe4b0ebb7dULL, 0xe3e54576c177e684ULL,
+         0x92d666efed1bc14cULL, 0xdbc07618b799828eULL, 0x63f45df2b3b48b8fULL,
+         0x85b8768301608843ULL, 0x1d4c4eb763a17e8aULL, 0xb82e96511f3e003dULL});
+  }
+}
+
+TEST(DsanPhaseTest, GroupedPhaseDigestsArePinned) {
+  const graph::Node n = 16;
+  const TaskSet ts = twopoint_tasks(256, 0xD5B2);
+  for (std::size_t threads : {1, 2}) {
+    dsan::StepProbe probe;
+    core::GroupedUserEngine engine(ts, n, user_config(ts, n, threads, &probe));
+    engine.reset(tasks::all_on_one(ts));
+    expect_phases(engine, probe, 47, {"sample", "apply"},
+                  {0xd17007f846565e1fULL, 0x6c271f3fa7f97c81ULL,
+                   0x15fe1443053a47bfULL, 0x3f3b8a7a27c25e8dULL,
+                   0x66de65a02f571cd5ULL, 0x3c3af040b7242e62ULL,
+                   0x28d941c7f3ac77b9ULL, 0x1d7acd1899627ba5ULL,
+                   0x6e33f68afaf4e24eULL, 0xb0571338e74eb2d9ULL});
+  }
+}
+
+TEST(DsanPhaseTest, DynamicPhaseDigestsArePinned) {
+  for (std::size_t threads : {1, 2}) {
+    core::DynamicConfig cfg;
+    cfg.n = 16;
+    cfg.arrival_rate = 12.0;
+    cfg.completion_rate = 0.05;
+    cfg.crash_rate = 0.2;
+    cfg.eps = 0.2;
+    cfg.classes = {{1.0, 0.8}, {4.0, 0.2}};
+    cfg.threads = threads;
+    dsan::StepProbe probe;
+    cfg.dsan = &probe;
+    core::DynamicUserEngine engine(cfg);
+    expect_phases(
+        engine, probe, 53, {"arrivals", "completions", "protocol"},
+        {0x472e1a606fad22b7ULL, 0xe9ef16ed607e243fULL, 0xde6e24e1d6587590ULL,
+         0x2025beca7196324bULL, 0x5cf14db3c3412f25ULL, 0xa575977ec261e6ffULL,
+         0xa5efabb87fc1e418ULL, 0x4a6d82f81e4d1921ULL, 0xbd96e84b3ecd9132ULL,
+         0xc01485b0681fda9bULL, 0x94d2bab97b62d1d9ULL, 0x5e0ecf09a20bc0e0ULL,
+         0x62921eb0d88cdebcULL, 0x10cb20db9d955857ULL, 0x5c51c236d68cce8aULL});
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 // Differential tests for the engine::drive round-loop driver: for every
-// engine and every engine-thread count in {1, 2, 0}, the legacy run()
-// wrappers (now thin shims over drive) must produce bitwise-identical
-// RunResults — including the potential/overloaded traces — to a hand-rolled
-// replica of the pre-driver loop executed through the public step()/
-// balanced()/potential()/... surface. This pins the driver's loop
+// engine and every engine-thread count in {1, 2, 0}, the run() wrappers
+// (thin shims over drive) must produce bitwise-identical RunResults —
+// including the potential/overloaded traces observers record — to a
+// hand-rolled replica of the pre-driver loop executed through the public
+// step()/balanced()/potential()/... surface. This pins the driver's loop
 // structure, trace shape and RNG-stream discipline to the legacy
 // semantics: only step() may draw, traces carry one entry per round plus a
 // trailing final-state entry, and the loop stops exactly at balance or the
@@ -43,90 +43,104 @@ using util::Rng;
 // sampling simply ignore the knob — the comparison still has to hold.
 const std::size_t kThreadCounts[] = {1, 2, 0};
 
-/// The pre-driver round loop, reconstructed over the public Balancer
-/// surface. Every engine's run() used to be exactly this (modulo which
-/// potential function and overloaded counter it inlined — now exposed as
-/// potential()/overloaded_count()).
-template <class Engine>
-RunResult reference_run(Engine& engine, const EngineOptions& opt, Rng& rng) {
+/// A run's result plus its per-round Φ and overloaded-count traces.
+struct TracedRun {
   RunResult result;
+  std::vector<double> potential;
+  std::vector<std::uint32_t> overloaded;
+};
+
+/// The pre-driver round loop, reconstructed over the public Balancer
+/// surface and recording both traces itself. Every engine's run() used to
+/// be exactly this (modulo which potential function and overloaded counter
+/// it inlined — now exposed as potential()/overloaded_count()).
+template <class Engine>
+TracedRun reference_run(Engine& engine, const EngineOptions& opt, Rng& rng) {
+  TracedRun out;
+  RunResult& result = out.result;
   while (!engine.balanced() && result.rounds < opt.max_rounds) {
-    if (opt.record_potential) {
-      result.potential_trace.push_back(engine.potential());
-    }
-    if (opt.record_overloaded) {
-      result.overloaded_trace.push_back(engine.overloaded_count());
-    }
+    out.potential.push_back(engine.potential());
+    out.overloaded.push_back(engine.overloaded_count());
     result.migrations += engine.step(rng);
     ++result.rounds;
   }
-  if (opt.record_potential) {
-    result.potential_trace.push_back(engine.potential());
-  }
-  if (opt.record_overloaded) {
-    result.overloaded_trace.push_back(engine.overloaded_count());
-  }
+  out.potential.push_back(engine.potential());
+  out.overloaded.push_back(engine.overloaded_count());
   result.balanced = engine.balanced();
   result.final_max_load = engine.max_load();
   result.threshold = engine.reported_threshold();
-  return result;
+  return out;
 }
 
-void expect_identical(const RunResult& a, const RunResult& b,
+/// Run `run(observer)` with PotentialTrace + OverloadedTrace attached.
+template <class Run>
+TracedRun observed(Run&& run) {
+  engine::PotentialTrace potential;
+  engine::OverloadedTrace overloaded;
+  engine::ObserverList observers({&potential, &overloaded});
+  TracedRun out;
+  out.result = run(&observers);
+  out.potential = potential.take();
+  out.overloaded = overloaded.take();
+  return out;
+}
+
+void expect_identical(const TracedRun& x, const TracedRun& y,
                       const char* what, std::size_t threads) {
+  const RunResult& a = x.result;
+  const RunResult& b = y.result;
   EXPECT_EQ(a.rounds, b.rounds) << what << " threads=" << threads;
   EXPECT_EQ(a.balanced, b.balanced) << what << " threads=" << threads;
   EXPECT_EQ(a.migrations, b.migrations) << what << " threads=" << threads;
   EXPECT_EQ(a.threshold, b.threshold) << what << " threads=" << threads;
   EXPECT_EQ(a.final_max_load, b.final_max_load)
       << what << " threads=" << threads;
-  ASSERT_EQ(a.potential_trace.size(), b.potential_trace.size())
+  ASSERT_EQ(x.potential.size(), y.potential.size())
       << what << " threads=" << threads;
-  for (std::size_t i = 0; i < a.potential_trace.size(); ++i) {
-    EXPECT_EQ(a.potential_trace[i], b.potential_trace[i])
+  for (std::size_t i = 0; i < x.potential.size(); ++i) {
+    EXPECT_EQ(x.potential[i], y.potential[i])
         << what << " threads=" << threads << " round " << i;
   }
-  ASSERT_EQ(a.overloaded_trace.size(), b.overloaded_trace.size())
+  ASSERT_EQ(x.overloaded.size(), y.overloaded.size())
       << what << " threads=" << threads;
-  for (std::size_t i = 0; i < a.overloaded_trace.size(); ++i) {
-    EXPECT_EQ(a.overloaded_trace[i], b.overloaded_trace[i])
+  for (std::size_t i = 0; i < x.overloaded.size(); ++i) {
+    EXPECT_EQ(x.overloaded[i], y.overloaded[i])
         << what << " threads=" << threads << " round " << i;
   }
 }
 
-/// Build two identically-configured engines, run one through the legacy
-/// replica and one through run() (the drive shim), and compare bitwise.
+/// Build identically-configured engines (`make(options)`), run one through
+/// the reference loop, one through run() (the drive shim) and one through
+/// an explicit drive, and compare bitwise.
 template <class MakeEngine>
 void differential(const char* what, MakeEngine&& make,
                   const EngineOptions& opt, const Placement& start,
                   std::uint64_t seed) {
   for (std::size_t threads : kThreadCounts) {
-    auto legacy = make(threads);
+    EngineOptions options = opt;
+    options.threads = threads;
+    auto legacy = make(options);
     legacy.reset(start);
     Rng legacy_rng(seed);
-    const RunResult expected = reference_run(legacy, opt, legacy_rng);
+    const TracedRun expected = reference_run(legacy, options, legacy_rng);
 
-    auto driven = make(threads);
-    Rng driven_rng(seed);
-    const RunResult actual = driven.run(start, driven_rng);
+    const TracedRun actual = observed([&](engine::RoundObserver* observer) {
+      EngineOptions traced = options;
+      traced.observer = observer;
+      auto driven = make(traced);
+      Rng driven_rng(seed);
+      return driven.run(start, driven_rng);
+    });
     expect_identical(expected, actual, what, threads);
 
-    // Explicit drive with hand-attached observers must match too (this is
-    // what new callers write instead of EngineOptions bools).
-    auto composed = make(threads);
-    composed.reset(start);
-    Rng composed_rng(seed);
-    engine::PotentialTrace potential;
-    engine::OverloadedTrace overloaded;
-    engine::ObserverList observers;
-    if (opt.record_potential) observers.add(&potential);
-    if (opt.record_overloaded) observers.add(&overloaded);
-    RunResult composed_result = engine::drive(
-        composed, composed_rng, engine::DriveOptions::from(opt),
-        observers.or_null());
-    composed_result.potential_trace = potential.take();
-    composed_result.overloaded_trace = overloaded.take();
-    expect_identical(expected, composed_result, what, threads);
+    const TracedRun composed = observed([&](engine::RoundObserver* observer) {
+      auto composed_engine = make(options);
+      composed_engine.reset(start);
+      Rng composed_rng(seed);
+      return engine::drive(composed_engine, composed_rng,
+                           engine::DriveOptions::from(options), observer);
+    });
+    expect_identical(expected, composed, what, threads);
   }
 }
 
@@ -143,11 +157,9 @@ TaskSet two_point_tasks(std::size_t m) {
   return TaskSet(std::move(w));
 }
 
-EngineOptions traced_options() {
+EngineOptions capped_options() {
   EngineOptions opt;
   opt.max_rounds = 100000;
-  opt.record_potential = true;
-  opt.record_overloaded = true;
   return opt;
 }
 
@@ -155,14 +167,13 @@ TEST(EngineDriverTest, ExactEngineMatchesLegacyLoop) {
   const graph::Node n = 48;
   const TaskSet ts = continuous_tasks(4096, 0xA11CE);
   const double T = 1.25 * ts.total_weight() / n + ts.max_weight();
-  const EngineOptions opt = traced_options();
+  const EngineOptions opt = capped_options();
   differential(
       "exact",
-      [&](std::size_t threads) {
+      [&](const EngineOptions& options) {
         core::UserProtocolConfig cfg;
         cfg.threshold = T;
-        cfg.options = opt;
-        cfg.options.threads = threads;
+        cfg.options = options;
         return core::UserControlledEngine(ts, n, cfg);
       },
       opt, tasks::all_on_one(ts), 901);
@@ -172,14 +183,13 @@ TEST(EngineDriverTest, GroupedEngineMatchesLegacyLoop) {
   const graph::Node n = 96;
   const TaskSet ts = two_point_tasks(2048);
   const double T = 1.25 * ts.total_weight() / n + ts.max_weight();
-  const EngineOptions opt = traced_options();
+  const EngineOptions opt = capped_options();
   differential(
       "grouped",
-      [&](std::size_t threads) {
+      [&](const EngineOptions& options) {
         core::UserProtocolConfig cfg;
         cfg.threshold = T;
-        cfg.options = opt;
-        cfg.options.threads = threads;
+        cfg.options = options;
         return core::GroupedUserEngine(ts, n, cfg);
       },
       opt, tasks::all_on_one(ts), 902);
@@ -190,14 +200,13 @@ TEST(EngineDriverTest, GraphUserEngineMatchesLegacyLoop) {
   const TaskSet ts = continuous_tasks(512, 0xBEE);
   const double T =
       1.25 * ts.total_weight() / g.num_nodes() + ts.max_weight();
-  const EngineOptions opt = traced_options();
+  const EngineOptions opt = capped_options();
   differential(
       "graphuser",
-      [&](std::size_t threads) {
+      [&](const EngineOptions& options) {
         core::GraphUserConfig cfg;
         cfg.threshold = T;
-        cfg.options = opt;
-        cfg.options.threads = threads;
+        cfg.options = options;
         return core::GraphUserEngine(g, ts, cfg);
       },
       opt, tasks::all_on_one(ts), 903);
@@ -208,15 +217,14 @@ TEST(EngineDriverTest, MixedEngineMatchesLegacyLoop) {
   const TaskSet ts = continuous_tasks(512, 0xCAFE);
   const double T =
       1.25 * ts.total_weight() / g.num_nodes() + ts.max_weight();
-  const EngineOptions opt = traced_options();
+  const EngineOptions opt = capped_options();
   differential(
       "mixed",
-      [&](std::size_t threads) {
+      [&](const EngineOptions& options) {
         core::MixedProtocolConfig cfg;
         cfg.threshold = T;
         cfg.resource_probability = 0.5;
-        cfg.options = opt;
-        cfg.options.threads = threads;
+        cfg.options = options;
         return core::MixedProtocolEngine(g, ts, cfg);
       },
       opt, tasks::all_on_one(ts), 904);
@@ -227,14 +235,13 @@ TEST(EngineDriverTest, ResourceEngineMatchesLegacyLoop) {
   const TaskSet ts = continuous_tasks(512, 0xD00D);
   const double T =
       1.25 * ts.total_weight() / g.num_nodes() + ts.max_weight();
-  const EngineOptions opt = traced_options();
+  const EngineOptions opt = capped_options();
   differential(
       "resource",
-      [&](std::size_t threads) {
+      [&](const EngineOptions& options) {
         core::ResourceProtocolConfig cfg;
         cfg.threshold = T;
-        cfg.options = opt;
-        cfg.options.threads = threads;
+        cfg.options = options;
         return core::ResourceControlledEngine(g, ts, cfg);
       },
       opt, tasks::all_on_one(ts), 905);
@@ -244,14 +251,13 @@ TEST(EngineDriverTest, SelfishEngineMatchesLegacyLoop) {
   const graph::Node n = 32;
   const TaskSet ts = continuous_tasks(512, 0xFEED);
   const double T = 1.5 * ts.total_weight() / n + ts.max_weight();
-  const EngineOptions opt = traced_options();
+  const EngineOptions opt = capped_options();
   differential(
       "selfish",
-      [&](std::size_t threads) {
+      [&](const EngineOptions& options) {
         baselines::SelfishConfig cfg;
         cfg.stop_threshold = T;
-        cfg.options = opt;
-        cfg.options.threads = threads;
+        cfg.options = options;
         return baselines::SelfishReallocEngine(ts, n, cfg);
       },
       opt, tasks::all_on_one(ts), 906);
@@ -304,14 +310,6 @@ TEST(EngineDriverTest, DynamicEngineMatchesLegacyWarmupMeasureLoop) {
     opt.measure = measure;
     const core::DynamicMetrics metrics = driven.run(opt, driven_rng);
     EXPECT_EQ(expected, dynamic_fingerprint(driven, metrics))
-        << "threads=" << threads;
-
-    // Deprecated forwarding overload must stay equivalent for one PR.
-    core::DynamicUserEngine forwarded(cfg);
-    Rng forwarded_rng(4242);
-    const core::DynamicMetrics fmetrics =
-        forwarded.run(warmup, measure, forwarded_rng);
-    EXPECT_EQ(expected, dynamic_fingerprint(forwarded, fmetrics))
         << "threads=" << threads;
   }
 }

@@ -14,6 +14,7 @@
 
 #include "tlb/core/dynamic.hpp"
 #include "tlb/core/user_protocol.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/tasks/task_set.hpp"
 #include "tlb/util/rng.hpp"
@@ -29,25 +30,32 @@ using tlb::util::Rng;
 // hardware concurrency (0). All must agree bitwise with the inline run.
 const std::size_t kThreadCounts[] = {1, 2, 8, 0};
 
-/// Bitwise RunResult equality: counters, doubles compared with ==, and the
+/// A run's result plus its per-round Φ and overloaded-count traces.
+struct TracedRun {
+  RunResult result;
+  std::vector<double> potential;
+  std::vector<std::uint32_t> overloaded;
+};
+
+/// Bitwise TracedRun equality: counters, doubles compared with ==, and the
 /// traces element by element.
-void expect_identical(const RunResult& a, const RunResult& b,
+void expect_identical(const TracedRun& x, const TracedRun& y,
                       std::size_t threads) {
+  const RunResult& a = x.result;
+  const RunResult& b = y.result;
   EXPECT_EQ(a.rounds, b.rounds) << "threads=" << threads;
   EXPECT_EQ(a.balanced, b.balanced) << "threads=" << threads;
   EXPECT_EQ(a.migrations, b.migrations) << "threads=" << threads;
   EXPECT_EQ(a.threshold, b.threshold) << "threads=" << threads;
   EXPECT_EQ(a.final_max_load, b.final_max_load) << "threads=" << threads;
-  ASSERT_EQ(a.potential_trace.size(), b.potential_trace.size())
-      << "threads=" << threads;
-  for (std::size_t i = 0; i < a.potential_trace.size(); ++i) {
-    EXPECT_EQ(a.potential_trace[i], b.potential_trace[i])
+  ASSERT_EQ(x.potential.size(), y.potential.size()) << "threads=" << threads;
+  for (std::size_t i = 0; i < x.potential.size(); ++i) {
+    EXPECT_EQ(x.potential[i], y.potential[i])
         << "threads=" << threads << " round " << i;
   }
-  ASSERT_EQ(a.overloaded_trace.size(), b.overloaded_trace.size())
-      << "threads=" << threads;
-  for (std::size_t i = 0; i < a.overloaded_trace.size(); ++i) {
-    EXPECT_EQ(a.overloaded_trace[i], b.overloaded_trace[i])
+  ASSERT_EQ(x.overloaded.size(), y.overloaded.size()) << "threads=" << threads;
+  for (std::size_t i = 0; i < x.overloaded.size(); ++i) {
+    EXPECT_EQ(x.overloaded[i], y.overloaded[i])
         << "threads=" << threads << " round " << i;
   }
 }
@@ -68,32 +76,39 @@ TaskSet two_point_tasks(std::size_t m) {
   return TaskSet(std::move(w));
 }
 
-RunResult run_exact(const TaskSet& ts, Node n, const Placement& start,
-                    double threshold, std::size_t threads,
-                    std::uint64_t seed) {
+template <class Engine>
+TracedRun run_traced(const TaskSet& ts, Node n, const Placement& start,
+                     double threshold, std::size_t threads,
+                     std::uint64_t seed) {
+  tlb::engine::PotentialTrace potential;
+  tlb::engine::OverloadedTrace overloaded;
+  tlb::engine::ObserverList observers({&potential, &overloaded});
   UserProtocolConfig cfg;
   cfg.threshold = threshold;
   cfg.options.max_rounds = 200000;
-  cfg.options.record_potential = true;
-  cfg.options.record_overloaded = true;
+  cfg.options.observer = &observers;
   cfg.options.threads = threads;
-  UserControlledEngine engine(ts, n, cfg);
+  Engine engine(ts, n, cfg);
   Rng rng(seed);
-  return engine.run(start, rng);
+  TracedRun out;
+  out.result = engine.run(start, rng);
+  out.potential = potential.take();
+  out.overloaded = overloaded.take();
+  return out;
 }
 
-RunResult run_grouped(const TaskSet& ts, Node n, const Placement& start,
+TracedRun run_exact(const TaskSet& ts, Node n, const Placement& start,
+                    double threshold, std::size_t threads,
+                    std::uint64_t seed) {
+  return run_traced<UserControlledEngine>(ts, n, start, threshold, threads,
+                                          seed);
+}
+
+TracedRun run_grouped(const TaskSet& ts, Node n, const Placement& start,
                       double threshold, std::size_t threads,
                       std::uint64_t seed) {
-  UserProtocolConfig cfg;
-  cfg.threshold = threshold;
-  cfg.options.max_rounds = 200000;
-  cfg.options.record_potential = true;
-  cfg.options.record_overloaded = true;
-  cfg.options.threads = threads;
-  GroupedUserEngine engine(ts, n, cfg);
-  Rng rng(seed);
-  return engine.run(start, rng);
+  return run_traced<GroupedUserEngine>(ts, n, start, threshold, threads,
+                                       seed);
 }
 
 TEST(EngineThreadsTest, ExactEngineBitwiseIdenticalAcrossThreads) {
@@ -105,9 +120,9 @@ TEST(EngineThreadsTest, ExactEngineBitwiseIdenticalAcrossThreads) {
   const TaskSet ts = continuous_tasks(40960, 0xABCDEF);
   const Placement start = tlb::tasks::all_on_one(ts);
   const double T = 1.25 * ts.total_weight() / n + ts.max_weight();
-  const RunResult base = run_exact(ts, n, start, T, 1, 777);
-  EXPECT_TRUE(base.balanced);
-  EXPECT_GT(base.migrations, 0u);
+  const TracedRun base = run_exact(ts, n, start, T, 1, 777);
+  EXPECT_TRUE(base.result.balanced);
+  EXPECT_GT(base.result.migrations, 0u);
   for (std::size_t threads : kThreadCounts) {
     expect_identical(base, run_exact(ts, n, start, T, threads, 777),
                      threads);
@@ -145,9 +160,9 @@ TEST(EngineThreadsTest, GroupedEngineBitwiseIdenticalAcrossThreads) {
   const TaskSet ts = two_point_tasks(16384);
   const Placement start = tlb::tasks::all_on_one(ts);
   const double T = 1.25 * ts.total_weight() / n + ts.max_weight();
-  const RunResult base = run_grouped(ts, n, start, T, 1, 4242);
-  EXPECT_TRUE(base.balanced);
-  EXPECT_GT(base.migrations, 0u);
+  const TracedRun base = run_grouped(ts, n, start, T, 1, 4242);
+  EXPECT_TRUE(base.result.balanced);
+  EXPECT_GT(base.result.migrations, 0u);
   for (std::size_t threads : kThreadCounts) {
     expect_identical(base, run_grouped(ts, n, start, T, threads, 4242),
                      threads);
@@ -205,11 +220,11 @@ TEST(EngineThreadsTest, SingleOverloadedResourceAcrossThreads) {
   const TaskSet ts = continuous_tasks(64, 0x42);
   const Placement start = tlb::tasks::all_on_one(ts);
   const double T = 1.5 * ts.total_weight() / n + ts.max_weight();
-  const RunResult base = run_exact(ts, n, start, T, 1, 31);
+  const TracedRun base = run_exact(ts, n, start, T, 1, 31);
   for (std::size_t threads : kThreadCounts) {
     expect_identical(base, run_exact(ts, n, start, T, threads, 31), threads);
   }
-  const RunResult gbase = run_grouped(two_point_tasks(64), n,
+  const TracedRun gbase = run_grouped(two_point_tasks(64), n,
                                       all_on_one(two_point_tasks(64)),
                                       T, 1, 31);
   for (std::size_t threads : kThreadCounts) {
@@ -230,7 +245,10 @@ void run_dynamic_and_compare(DynamicConfig cfg, long warmup, long measure,
     c.threads = threads;
     DynamicUserEngine engine(c);
     Rng rng(seed);
-    const DynamicMetrics metrics = engine.run(warmup, measure, rng);
+    tlb::engine::DriveOptions opt;
+    opt.warmup = warmup;
+    opt.measure = measure;
+    const DynamicMetrics metrics = engine.run(opt, rng);
     std::vector<double> loads(cfg.n);
     for (tlb::graph::Node r = 0; r < cfg.n; ++r) loads[r] = engine.load(r);
     return std::tuple(metrics.overloaded_fraction.mean(),

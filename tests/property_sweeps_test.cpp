@@ -17,6 +17,7 @@
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/threshold.hpp"
 #include "tlb/core/user_protocol.hpp"
+#include "tlb/engine/observer.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/tasks/first_fit.hpp"
 #include "tlb/tasks/placement.hpp"
@@ -92,7 +93,8 @@ TEST_P(ResourceSweepTest, AllInvariantsHold) {
   cfg.threshold = T;
   cfg.walk = randomwalk::WalkKind::kLazy;
   cfg.options.max_rounds = 500000;
-  cfg.options.record_potential = true;
+  engine::PotentialTrace potential;
+  cfg.options.observer = &potential;
   core::ResourceControlledEngine engine(g, ts, cfg);
   Rng run_rng(c.seed ^ 0xabcdef);
   const auto placement = build_placement(c.placement, ts, n, setup_rng);
@@ -108,11 +110,12 @@ TEST_P(ResourceSweepTest, AllInvariantsHold) {
 
   // Observation 4 along the whole trajectory, ending at zero (up to the
   // float residue of incremental load accounting with real-valued weights).
-  for (std::size_t t = 1; t < result.potential_trace.size(); ++t) {
-    ASSERT_LE(result.potential_trace[t], result.potential_trace[t - 1] + 1e-9)
+  const std::vector<double>& trace = potential.trace();
+  for (std::size_t t = 1; t < trace.size(); ++t) {
+    ASSERT_LE(trace[t], trace[t - 1] + 1e-9)
         << case_name(c) << " round " << t;
   }
-  EXPECT_NEAR(result.potential_trace.back(), 0.0, 1e-9);
+  EXPECT_NEAR(trace.back(), 0.0, 1e-9);
 }
 
 class UserSweepTest : public ::testing::TestWithParam<SweepCase> {};
