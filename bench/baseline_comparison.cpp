@@ -12,14 +12,14 @@
 //   * random (1-choice), greedy 2-choice (Talwar–Wieder), (1+β) with β = 0.5.
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
-#include "tlb/baselines/first_fit_centralized.hpp"
-#include "tlb/baselines/one_plus_beta.hpp"
 #include "tlb/baselines/selfish_realloc.hpp"
-#include "tlb/baselines/two_choice.hpp"
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/threshold.hpp"
 #include "tlb/core/user_protocol.hpp"
+#include "tlb/engine/baseline_balancers.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/sim/report.hpp"
 #include "tlb/sim/runner.hpp"
@@ -119,12 +119,15 @@ int main(int argc, char** argv) {
                    util::Table::fmt(stats.final_max_load.mean(), 1)});
   }
 
-  // (4) centralized first fit.
+  // (4) centralized first fit (deterministic: its one round draws nothing).
   {
-    const auto result = baselines::first_fit_centralized(ts, n);
+    engine::FirstFitBalancer first_fit(ts, n);
+    util::Rng rng(0);
+    const core::RunResult result =
+        engine::drive(first_fit, rng, engine::DriveOptions{});
     table.add_row({"centralized first-fit", "1", "0",
-                   util::Table::fmt(result.run.migrations),
-                   util::Table::fmt(result.run.final_max_load, 1)});
+                   util::Table::fmt(result.migrations),
+                   util::Table::fmt(result.final_max_load, 1)});
   }
 
   sim::emit_table(table, cli.get_string("csv"));
@@ -145,14 +148,24 @@ int main(int argc, char** argv) {
     gaps.add_row({name, util::Table::fmt(w.mean(), 2),
                   util::Table::fmt(worst, 2)});
   };
+  // One-shot allocators measured by their gap; the +inf comparison
+  // threshold never binds.
+  constexpr double kNoThreshold = std::numeric_limits<double>::infinity();
+  const auto gap_after_step = [](auto&& balancer, util::Rng& rng) {
+    balancer.step(rng);
+    return balancer.gap();
+  };
   gap_stats("random (1-choice)", [&](util::Rng& rng) {
-    return baselines::greedy_d_choice(ts, n, 1, rng).gap;
+    return gap_after_step(
+        engine::GreedyChoiceBalancer(ts, n, 1, kNoThreshold), rng);
   });
   gap_stats("greedy 2-choice [9]", [&](util::Rng& rng) {
-    return baselines::greedy_d_choice(ts, n, 2, rng).gap;
+    return gap_after_step(
+        engine::GreedyChoiceBalancer(ts, n, 2, kNoThreshold), rng);
   });
   gap_stats("(1+beta), beta=0.5 [11]", [&](util::Rng& rng) {
-    return baselines::one_plus_beta(ts, n, 0.5, rng).gap;
+    return gap_after_step(
+        engine::OnePlusBetaBalancer(ts, n, 0.5, kNoThreshold), rng);
   });
   std::printf("%s", gaps.to_ascii().c_str());
 

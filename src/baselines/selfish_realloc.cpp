@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "tlb/engine/driver.hpp"
+#include "tlb/util/validate.hpp"
 
 namespace tlb::baselines {
 
@@ -12,9 +13,8 @@ SelfishReallocEngine::SelfishReallocEngine(const tasks::TaskSet& ts,
                                            graph::Node n, SelfishConfig config)
     : tasks_(&ts), config_(config), n_(n) {
   if (n < 2) throw std::invalid_argument("SelfishReallocEngine: need n >= 2");
-  if (config_.stop_threshold <= 0.0) {
-    throw std::invalid_argument("SelfishReallocEngine: stop_threshold > 0");
-  }
+  util::require_finite_positive(config_.stop_threshold,
+                                "SelfishReallocEngine: stop_threshold");
 }
 
 void SelfishReallocEngine::reset(const tasks::Placement& placement) {

@@ -1,27 +1,6 @@
 #include "tlb/baselines/sequential_threshold.hpp"
 
-#include "tlb/engine/baseline_balancers.hpp"
-
 namespace tlb::baselines {
-
-SequentialThresholdResult sequential_threshold(const tasks::TaskSet& ts,
-                                               graph::Node n, double threshold,
-                                               util::Rng& rng,
-                                               int max_retries_per_ball) {
-  // Thin shim over the engine-layer balancer (same algorithm, same RNG
-  // stream); kept so callers that only want the allocation need not know
-  // about engine::drive.
-  engine::SequentialThresholdBalancer balancer(ts, n, threshold,
-                                               max_retries_per_ball);
-  balancer.step(rng);
-  SequentialThresholdResult out;
-  out.loads = balancer.loads();
-  out.choices = balancer.choices();
-  out.max_load = balancer.max_load();
-  out.completed = balancer.completed();
-  out.placed = balancer.placed();
-  return out;
-}
 
 double suggested_threshold(const tasks::TaskSet& ts, graph::Node n) {
   return ts.total_weight() / static_cast<double>(n) + ts.max_weight();

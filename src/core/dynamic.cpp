@@ -10,7 +10,6 @@
 #include "tlb/dsan/state_digest.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/util/binomial.hpp"
-#include "tlb/util/parallel.hpp"
 #include "tlb/util/validate.hpp"
 
 namespace tlb::core {
@@ -44,21 +43,19 @@ DynamicUserEngine::DynamicUserEngine(DynamicConfig config)
   double total_p = 0.0;
   for (const auto& c : config_.classes) total_p += c.probability;
   double acc = 0.0;
+  std::vector<double> class_weights;
   for (const auto& c : config_.classes) {
-    class_weights_.push_back(c.weight);
+    class_weights.push_back(c.weight);
     acc += c.probability / total_p;
     class_cdf_.push_back(acc);
     w_max_ = std::max(w_max_, c.weight);
   }
   class_cdf_.back() = 1.0;
 
-  counts_.assign(static_cast<std::size_t>(config_.n) * class_weights_.size(), 0);
-  loads_.assign(config_.n, 0.0);
-  task_counts_.assign(config_.n, 0);
-  // Fresh store, everything pending re-check — the shared rebuild hook, so
-  // the initial recompute below registers its value without invalidating
-  // anything a second time.
-  over_.rebuild(config_.n);
+  // Fresh store, everything pending re-check, so the initial recompute
+  // below registers its value without invalidating anything a second time.
+  classes_ = ClassLoads(std::move(class_weights));
+  classes_.reset(config_.n);
   threshold_ = 0.0;  // force the first recompute to register its value
   recompute_threshold();
   if (config_.threads != 1) {
@@ -79,7 +76,7 @@ DynamicUserEngine::DynamicUserEngine(DynamicConfig config)
     m_threshold_changes_ =
         reg->counter("dynamic.threshold_changes", MetricClass::kDeterministic);
   }
-  deltas_.attach(instr_.sink.registry, "dynamic", over_);
+  deltas_.attach(instr_.sink.registry, "dynamic", classes_.tracker());
   instr_.attach_pool(pool_.get());
 }
 
@@ -103,23 +100,11 @@ void DynamicUserEngine::recompute_threshold() {
     // bucketed load index (O(#band + #touched) instead of the old
     // mark_all_dirty() O(n) rescan — the number threshold-churn runs are
     // judged by).
-    over_.shift_threshold(prev, next,
-                          [this](graph::Node r) { return loads_[r]; });
+    classes_.shift_threshold(prev, next);
   }
   // prev == 0 is the construction-time registration: the tracker was just
   // rebuilt with every resource pending, so there is nothing to add.
   instr_.add(m_threshold_changes_, 1);
-}
-
-const std::vector<graph::Node>& DynamicUserEngine::overloaded_now() const {
-  over_.flush([this](graph::Node r) { return loads_[r] > threshold_; });
-  return over_.items();
-}
-
-void DynamicUserEngine::check_overloaded_invariant() const {
-  over_.audit(
-      config_.n, [this](graph::Node r) { return loads_[r] > threshold_; },
-      "DynamicUserEngine");
 }
 
 void DynamicUserEngine::do_arrivals(util::Rng& rng) {
@@ -132,7 +117,7 @@ void DynamicUserEngine::do_arrivals(util::Rng& rng) {
         std::llround(2.0 * config_.arrival_rate));
     count = util::binomial(rng, budget, 0.5);
   }
-  const std::size_t C = class_weights_.size();
+  const std::size_t C = classes_.num_classes();
   for (std::uint64_t i = 0; i < count; ++i) {
     const double u = rng.uniform01();
     std::size_t cls = 0;
@@ -141,11 +126,8 @@ void DynamicUserEngine::do_arrivals(util::Rng& rng) {
         config_.hotspot_arrivals
             ? 0
             : static_cast<graph::Node>(rng.uniform_below(config_.n));
-    ++counts_[static_cast<std::size_t>(dst) * C + cls];
-    loads_[dst] += class_weights_[cls];
-    ++task_counts_[dst];
-    over_.mark_dirty(dst);
-    total_weight_ += class_weights_[cls];
+    classes_.add(dst, cls);
+    total_weight_ += classes_.weight(cls);
     ++population_;
     if (metrics_) ++metrics_->arrivals;
   }
@@ -154,20 +136,17 @@ void DynamicUserEngine::do_arrivals(util::Rng& rng) {
 
 void DynamicUserEngine::do_completions(util::Rng& rng) {
   if (config_.completion_rate <= 0.0) return;
-  const std::size_t C = class_weights_.size();
+  const std::size_t C = classes_.num_classes();
   std::uint64_t total_done = 0;
   for (graph::Node r = 0; r < config_.n; ++r) {
     for (std::size_t c = 0; c < C; ++c) {
-      auto& slot = counts_[static_cast<std::size_t>(r) * C + c];
-      if (slot == 0) continue;
+      const std::uint32_t k = classes_.count(r, c);
+      if (k == 0) continue;
       const auto done = static_cast<std::uint32_t>(
-          util::binomial(rng, slot, config_.completion_rate));
+          util::binomial(rng, k, config_.completion_rate));
       if (done == 0) continue;
-      slot -= done;
-      loads_[r] -= static_cast<double>(done) * class_weights_[c];
-      task_counts_[r] -= done;
-      over_.mark_dirty(r);
-      total_weight_ -= static_cast<double>(done) * class_weights_[c];
+      classes_.remove(r, c, done);
+      total_weight_ -= static_cast<double>(done) * classes_.weight(c);
       population_ -= done;
       total_done += done;
       if (metrics_) metrics_->completions += done;
@@ -179,120 +158,30 @@ void DynamicUserEngine::do_completions(util::Rng& rng) {
 void DynamicUserEngine::do_crash(util::Rng& rng) {
   if (config_.crash_rate <= 0.0 || !rng.bernoulli(config_.crash_rate)) return;
   const auto victim = static_cast<graph::Node>(rng.uniform_below(config_.n));
-  const std::size_t C = class_weights_.size();
   // Fail-over: every task on the victim scatters to a uniform resource
-  // (possibly re-landing anywhere but the victim, which rejoins empty).
-  for (std::size_t c = 0; c < C; ++c) {
-    auto& slot = counts_[static_cast<std::size_t>(victim) * C + c];
-    while (slot > 0) {
-      --slot;
-      auto dst = static_cast<graph::Node>(rng.uniform_below(config_.n - 1));
-      if (dst >= victim) ++dst;
-      ++counts_[static_cast<std::size_t>(dst) * C + c];
-      loads_[dst] += class_weights_[c];
-      ++task_counts_[dst];
-      over_.mark_dirty(dst);
+  // other than the victim, which then rejoins empty.
+  for (std::size_t c = 0; c < classes_.num_classes(); ++c) {
+    for (std::uint32_t k = classes_.count(victim, c); k > 0; --k) {
+      classes_.add(sample_destination(config_.n, victim, true, rng), c);
     }
   }
-  loads_[victim] = 0.0;
-  task_counts_[victim] = 0;
-  over_.mark_dirty(victim);
+  classes_.clear(victim);
   if (metrics_) ++metrics_->crashes;
   instr_.add(m_crashes_, 1);
 }
 
 std::size_t DynamicUserEngine::do_protocol_step(util::Rng& rng) {
-  // One grouped Algorithm 6.1 round against the current threshold. The
-  // per-round base seed comes from the caller's stream; phase 1 shards the
-  // overloaded list, each shard drawing its binomial leaver counts from a
-  // private (round_seed, shard) stream into its own buffer while reading
-  // only the frozen round-start counts/loads — race-free and bitwise
-  // independent of config_.threads.
-  const std::size_t C = class_weights_.size();
-  dsan::StepProbe* const probe = instr_.probe;
+  // One grouped Algorithm 6.1 round against the current threshold; the
+  // per-round base seed comes from the caller's stream (see ClassLoads).
   const std::uint64_t round_seed = rng();
   const std::vector<graph::Node>& over = overloaded_now();
-  const std::size_t shards = util::shard_count(over.size(), kShardGrain);
-  if (shard_bufs_.size() < shards) shard_bufs_.resize(shards);
-  if (probe != nullptr) probe->arm_shards(shards);
   {
     const obs::PhaseSpan span(instr_.sink, m_sample_ns_, "dynamic.sample");
-    util::parallel_shard(
-        over.size(), kShardGrain, pool_.get(),
-        [this, &over, C, round_seed,
-         probe](std::size_t shard, std::size_t lo, std::size_t hi) {
-          std::vector<Departure>& buf = shard_bufs_[shard];
-          buf.clear();
-          util::Rng srng(util::derive_seed(round_seed, shard));
-          // Binomial inversion draws a variable count — no exact budget;
-          // the probe records the actual (deterministic) draw count.
-          if (probe != nullptr) srng.attach_probe(probe->shard_slot(shard));
-          for (std::size_t i = lo; i < hi; ++i) {
-            const graph::Node r = over[i];
-            if (task_counts_[r] == 0) continue;
-            const double phi = phi_of(r);
-            if (phi <= 0.0) continue;
-            const double p =
-                std::min(1.0, config_.alpha * std::ceil(phi / w_max_) /
-                                  static_cast<double>(task_counts_[r]));
-            for (std::size_t c = 0; c < C; ++c) {
-              const std::uint32_t k =
-                  counts_[static_cast<std::size_t>(r) * C + c];
-              if (k == 0) continue;
-              const auto leavers =
-                  static_cast<std::uint32_t>(util::binomial(srng, k, p));
-              if (leavers > 0) {
-                buf.push_back({r, static_cast<std::uint32_t>(c), leavers});
-              }
-            }
-          }
-        });
+    classes_.sample(over, round_seed, config_.alpha, w_max_, threshold_of(),
+                    pool_.get(), instr_.probe);
   }
-
-  // Phase 2: apply in shard order on the calling thread.
-  std::size_t migrations = 0;
   const obs::PhaseSpan span(instr_.sink, m_apply_ns_, "dynamic.apply");
-  for (std::size_t s = 0; s < shards; ++s) {
-    for (const Departure& d : shard_bufs_[s]) {
-      counts_[static_cast<std::size_t>(d.src) * C + d.cls] -= d.count;
-      loads_[d.src] -= static_cast<double>(d.count) * class_weights_[d.cls];
-      task_counts_[d.src] -= d.count;
-      over_.mark_dirty(d.src);
-    }
-  }
-  for (std::size_t s = 0; s < shards; ++s) {
-    for (const Departure& d : shard_bufs_[s]) {
-      for (std::uint32_t i = 0; i < d.count; ++i) {
-        const auto dst =
-            static_cast<graph::Node>(rng.uniform_below(config_.n));
-        ++counts_[static_cast<std::size_t>(dst) * C + d.cls];
-        loads_[dst] += class_weights_[d.cls];
-        ++task_counts_[dst];
-        over_.mark_dirty(dst);
-        ++migrations;
-      }
-    }
-  }
-  return migrations;
-}
-
-double DynamicUserEngine::phi_of(graph::Node r) const {
-  if (loads_[r] <= threshold_) return 0.0;
-  // Canonical ascending stacking, as in GroupedUserEngine.
-  const std::size_t C = class_weights_.size();
-  double h = 0.0;
-  for (std::size_t c = 0; c < C; ++c) {
-    const std::uint32_t k = counts_[static_cast<std::size_t>(r) * C + c];
-    if (k == 0) continue;
-    const double w = class_weights_[c];
-    if (h + w > threshold_) break;
-    const double room = std::floor((threshold_ - h) / w);
-    const auto fit = static_cast<std::uint32_t>(
-        std::min<double>(room, static_cast<double>(k)));
-    h += static_cast<double>(fit) * w;
-    if (fit < k) break;
-  }
-  return loads_[r] - h;
+  return classes_.apply(rng, /*exclude_self=*/false);
 }
 
 std::size_t DynamicUserEngine::step(util::Rng& rng) {
@@ -302,7 +191,7 @@ std::size_t DynamicUserEngine::step(util::Rng& rng) {
   const auto churn_digest = [this](dsan::Digest& d) {
     d.u64(population_);
     d.f64(total_weight_);
-    dsan::digest_loads(loads_, d);
+    dsan::digest_loads(classes_.loads(), d);
   };
   instr_.phase(m_arrivals_ns_, "dynamic.arrivals", "arrivals",
                [&] { do_arrivals(rng); }, churn_digest);
@@ -315,11 +204,11 @@ std::size_t DynamicUserEngine::step(util::Rng& rng) {
   instr_.digest("protocol", [this](dsan::Digest& d) {
     d.f64(threshold_);
     d.u64(last_migrations_);
-    dsan::digest_loads(loads_, d);
+    dsan::digest_loads(classes_.loads(), d);
   });
   if (probe != nullptr) probe->end_step(rng);
-  deltas_.publish(over_);
-  if (config_.paranoid_checks) check_overloaded_invariant();
+  deltas_.publish(classes_.tracker());
+  if (config_.paranoid_checks) audit();
 
   if (metrics_) {
     const auto over =
@@ -334,53 +223,14 @@ std::size_t DynamicUserEngine::step(util::Rng& rng) {
   return last_migrations_;
 }
 
-double DynamicUserEngine::max_load() const {
-  const auto load = [this](graph::Node r) { return loads_[r]; };
-  if (const LoadIndex* idx = over_.query_index(load)) {
-    return idx->max_indexed_load();
-  }
-  double max = 0.0;
-  for (graph::Node r = 0; r < config_.n; ++r) {
-    max = std::max(max, loads_[r]);
-  }
-  return max;
-}
-
 void DynamicUserEngine::collect_fingerprint(dsan::Digest& d) const {
-  const std::size_t C = class_weights_.size();
   d.u64(config_.n);
-  d.u64(C);
+  d.u64(classes_.num_classes());
   d.u64(population_);
   d.f64(total_weight_);
   d.f64(threshold_);
-  for (graph::Node r = 0; r < config_.n; ++r) {
-    d.f64(loads_[r]);
-    d.u64(task_counts_[r]);
-    for (std::size_t c = 0; c < C; ++c) {
-      d.u64(counts_[static_cast<std::size_t>(r) * C + c]);
-    }
-  }
-  // Tracker bookkeeping: const reads only (see digest_state) — never flush.
-  for (const graph::Node r : over_.items()) d.u64(r);
-  d.u64(over_.dirty_size());
-  d.u64(over_.flush_checks());
-  d.u64(over_.dirty_marks());
-}
-
-void DynamicUserEngine::collect_load_stats(LoadStatsCalc& calc,
-                                           LoadStats& out) const {
-  const auto load = [this](graph::Node r) { return loads_[r]; };
-  if (const LoadIndex* idx = over_.query_index(load)) {
-    out = calc.compute_indexed(*idx, config_.n, threshold_);
-  } else {
-    out = calc.compute_scan(config_.n, threshold_, load);
-  }
-}
-
-double DynamicUserEngine::potential() const {
-  double phi = 0.0;
-  for (graph::Node r : overloaded_now()) phi += phi_of(r);
-  return phi;
+  classes_.digest_rows(d);
+  classes_.digest_tracker(d);
 }
 
 void DynamicUserEngine::begin_measure() {

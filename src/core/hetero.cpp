@@ -1,7 +1,10 @@
 #include "tlb/core/hetero.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+
+#include "tlb/util/validate.hpp"
 
 namespace tlb::core {
 
@@ -14,9 +17,7 @@ SpeedProfile two_class_speeds(graph::Node n, graph::Node fast_count,
   if (fast_count > n) {
     throw std::invalid_argument("two_class_speeds: fast_count <= n required");
   }
-  if (ratio <= 0.0) {
-    throw std::invalid_argument("two_class_speeds: ratio must be > 0");
-  }
+  util::require_finite_positive(ratio, "two_class_speeds: ratio");
   SpeedProfile speeds(n, 1.0);
   for (graph::Node r = 0; r < fast_count; ++r) speeds[r] = ratio;
   return speeds;
@@ -24,9 +25,9 @@ SpeedProfile two_class_speeds(graph::Node n, graph::Node fast_count,
 
 SpeedProfile random_speeds(graph::Node n, double lo, double hi,
                            util::Rng& rng) {
-  if (lo <= 0.0 || hi < lo) {
-    throw std::invalid_argument("random_speeds: need 0 < lo <= hi");
-  }
+  util::require_finite_positive(lo, "random_speeds: lo");
+  util::require_finite_in(hi, lo, std::numeric_limits<double>::infinity(),
+                          "random_speeds: hi");
   SpeedProfile speeds(n);
   for (double& s : speeds) s = lo + rng.uniform01() * (hi - lo);
   return speeds;
@@ -39,13 +40,13 @@ std::vector<double> speed_proportional_thresholds(const tasks::TaskSet& tasks,
   if (speeds.empty()) {
     throw std::invalid_argument("speed_proportional_thresholds: no speeds");
   }
+  if (kind == ThresholdKind::kAboveAverage) {
+    util::require_finite_positive(eps, "speed_proportional_thresholds: eps");
+  }
   double total_speed = 0.0;
   for (double s : speeds) {
-    if (s <= 0.0) {
-      throw std::invalid_argument(
-          "speed_proportional_thresholds: speeds must be > 0");
-    }
-    total_speed += s;
+    total_speed += util::require_finite_positive(
+        s, "speed_proportional_thresholds: speed");
   }
   const double W = tasks.total_weight();
   const double w_max = tasks.max_weight();
@@ -54,10 +55,6 @@ std::vector<double> speed_proportional_thresholds(const tasks::TaskSet& tasks,
     const double share = W * speeds[r] / total_speed;
     switch (kind) {
       case ThresholdKind::kAboveAverage:
-        if (eps <= 0.0) {
-          throw std::invalid_argument(
-              "speed_proportional_thresholds: above-average needs eps > 0");
-        }
         thresholds[r] = (1.0 + eps) * share + w_max;
         break;
       case ThresholdKind::kTightResource:

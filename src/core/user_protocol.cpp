@@ -1,7 +1,6 @@
 #include "tlb/core/user_protocol.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -11,7 +10,6 @@
 #include "tlb/dsan/probe.hpp"
 #include "tlb/dsan/state_digest.hpp"
 #include "tlb/engine/driver.hpp"
-#include "tlb/util/binomial.hpp"
 #include "tlb/util/parallel.hpp"
 #include "tlb/util/validate.hpp"
 
@@ -25,22 +23,6 @@ namespace {
 std::unique_ptr<util::ThreadPool> make_phase1_pool(std::size_t threads) {
   if (threads == 1) return nullptr;
   return std::make_unique<util::ThreadPool>(threads);
-}
-
-/// Clamp the migration probability α·⌈φ/w_max⌉/b to [0, 1].
-double leave_probability(double alpha, double phi, double w_max,
-                         std::size_t b) {
-  if (b == 0 || phi <= 0.0) return 0.0;
-  const double p = alpha * std::ceil(phi / w_max) / static_cast<double>(b);
-  return std::min(p, 1.0);
-}
-
-/// Uniform destination; optionally excluding the source.
-graph::Node sample_destination(graph::Node n, graph::Node src,
-                               bool exclude_self, util::Rng& rng) {
-  if (!exclude_self) return static_cast<graph::Node>(rng.uniform_below(n));
-  auto d = static_cast<graph::Node>(rng.uniform_below(n - 1));
-  return d >= src ? d + 1 : d;
 }
 
 /// Resolve the scalar-or-vector threshold configuration into a dense
@@ -299,13 +281,13 @@ GroupedUserEngine::GroupedUserEngine(const tasks::TaskSet& ts, Node n,
     throw std::invalid_argument(
         "GroupedUserEngine: too many distinct weights; use the exact engine");
   }
-  class_weights_ = std::move(*distinct);
   task_class_.resize(ts.size());
   for (TaskId i = 0; i < ts.size(); ++i) {
-    const auto it = std::lower_bound(class_weights_.begin(),
-                                     class_weights_.end(), ts.weight(i));
-    task_class_[i] = static_cast<std::uint32_t>(it - class_weights_.begin());
+    const auto it =
+        std::lower_bound(distinct->begin(), distinct->end(), ts.weight(i));
+    task_class_[i] = static_cast<std::uint32_t>(it - distinct->begin());
   }
+  classes_ = ClassLoads(std::move(*distinct));
   pool_ = make_phase1_pool(config_.options.threads);
   instr_ = {{config_.options.registry, config_.options.trace},
             config_.options.dsan};
@@ -318,7 +300,7 @@ GroupedUserEngine::GroupedUserEngine(const tasks::TaskSet& ts, Node n,
     m_departures_ =
         reg->counter("grouped.departures", MetricClass::kDeterministic);
   }
-  deltas_.attach(instr_.sink.registry, "grouped", over_);
+  deltas_.attach(instr_.sink.registry, "grouped", classes_.tracker());
   instr_.attach_pool(pool_.get());
 }
 
@@ -326,168 +308,46 @@ void GroupedUserEngine::reset(const tasks::Placement& placement) {
   if (placement.size() != tasks_->size()) {
     throw std::invalid_argument("GroupedUserEngine::reset: placement size mismatch");
   }
-  const std::size_t C = class_weights_.size();
-  counts_.assign(static_cast<std::size_t>(n_) * C, 0);
-  loads_.assign(n_, 0.0);
-  task_counts_.assign(n_, 0);
+  classes_.reset(n_);
   for (TaskId i = 0; i < placement.size(); ++i) {
     const Node r = placement[i];
     if (r >= n_) {
       throw std::invalid_argument("GroupedUserEngine::reset: resource out of range");
     }
-    ++counts_[static_cast<std::size_t>(r) * C + task_class_[i]];
-    loads_[r] += tasks_->weight(i);
-    ++task_counts_[r];
+    classes_.add(r, task_class_[i]);
   }
-  // Counts were rebuilt from scratch: one shared invalidation entry point
-  // (every status pending, load index stale).
-  over_.rebuild(n_);
-}
-
-const std::vector<Node>& GroupedUserEngine::overloaded() const {
-  over_.flush([this](Node r) { return loads_[r] > thresholds_[r]; });
-  return over_.items();
-}
-
-void GroupedUserEngine::check_overloaded_invariant() const {
-  over_.audit(
-      n_, [this](Node r) { return loads_[r] > thresholds_[r]; },
-      "GroupedUserEngine");
-}
-
-double GroupedUserEngine::fitted_prefix_weight(Node r) const {
-  // Canonical stacking: classes in ascending weight order. Within a class of
-  // weight w starting at height h, exactly floor((T - h)/w) tasks (clamped
-  // to the class count) still fit completely below the threshold.
-  const std::size_t C = class_weights_.size();
-  const double T = thresholds_[r];
-  double h = 0.0;
-  for (std::size_t c = 0; c < C; ++c) {
-    const std::uint32_t k = counts_[static_cast<std::size_t>(r) * C + c];
-    if (k == 0) continue;
-    const double w = class_weights_[c];
-    if (h + w > T) break;
-    const double room = std::floor((T - h) / w);
-    const auto fit = static_cast<std::uint32_t>(
-        std::min<double>(room, static_cast<double>(k)));
-    h += static_cast<double>(fit) * w;
-    if (fit < k) break;
-  }
-  return h;
-}
-
-double GroupedUserEngine::phi_of(Node r) const {
-  if (loads_[r] <= thresholds_[r]) return 0.0;
-  return loads_[r] - fitted_prefix_weight(r);
-}
-
-double GroupedUserEngine::potential() const {
-  double phi = 0.0;
-  for (Node r : overloaded()) phi += phi_of(r);
-  return phi;
 }
 
 std::size_t GroupedUserEngine::step(util::Rng& rng) {
-  const std::size_t C = class_weights_.size();
-  const double w_max = tasks_->max_weight();
   dsan::StepProbe* const probe = instr_.probe;
   if (probe != nullptr) probe->begin_step(rng);
   // Per-round base seed for the sharded sampler (see the header comment).
   const std::uint64_t round_seed = rng();
 
-  // Phase 1: per overloaded resource, binomial leaver counts per class,
+  // Phase 1: binomial leaver counts per (overloaded resource, class),
   // decided against the round-start state. The incremental set makes this
-  // O(#overloaded) instead of an O(n) sweep, and the overloaded list is
-  // sharded: each shard draws from its private (round_seed, shard) stream
-  // into its own buffer while only reading the frozen counts/loads, so the
-  // pass is race-free and bitwise independent of the thread count.
+  // O(#overloaded) instead of an O(n) sweep.
   const std::vector<Node>& over = overloaded();
-  const std::size_t shards = util::shard_count(over.size(), kShardGrain);
-  if (shard_bufs_.size() < shards) shard_bufs_.resize(shards);
-  if (probe != nullptr) probe->arm_shards(shards);
-  const auto sample_shard = [this, &over, C, w_max, round_seed, probe](
-                                std::size_t shard, std::size_t lo,
-                                std::size_t hi) {
-    std::vector<Departure>& buf = shard_bufs_[shard];
-    buf.clear();
-    util::Rng srng(util::derive_seed(round_seed, shard));
-    // Binomial inversion draws a variable count, so no exact budget is
-    // declared — the probe records the actual (deterministic) draw count
-    // into the round fingerprint instead.
-    if (probe != nullptr) srng.attach_probe(probe->shard_slot(shard));
-    for (std::size_t i = lo; i < hi; ++i) {
-      const Node r = over[i];
-      const double phi = phi_of(r);
-      const double p =
-          leave_probability(config_.alpha, phi, w_max, task_counts_[r]);
-      if (p <= 0.0) continue;
-      for (std::size_t c = 0; c < C; ++c) {
-        const std::uint32_t k = counts_[static_cast<std::size_t>(r) * C + c];
-        if (k == 0) continue;
-        const auto leavers =
-            static_cast<std::uint32_t>(util::binomial(srng, k, p));
-        if (leavers > 0) {
-          buf.push_back({r, static_cast<std::uint32_t>(c), leavers});
-        }
-      }
-    }
-  };
   instr_.phase(
       m_sample_ns_, "grouped.sample", "sample",
       [&] {
-        util::parallel_shard(over.size(), kShardGrain, pool_.get(),
-                             sample_shard);
+        classes_.sample(over, round_seed, config_.alpha, tasks_->max_weight(),
+                        threshold_of(), pool_.get(), probe);
       },
-      [&](dsan::Digest& d) {
-        d.u64(shards);
-        for (std::size_t s = 0; s < shards; ++s) {
-          d.u64(shard_bufs_[s].size());
-          for (const Departure& dep : shard_bufs_[s]) {
-            d.u64(dep.src);
-            d.u64(dep.cls);
-            d.u64(dep.count);
-          }
-        }
-      });
+      [&](dsan::Digest& d) { classes_.digest_departures(d); });
 
   // Phase 2: apply in shard order on the calling thread — remove, then
   // scatter each departing task independently from the caller's stream.
   std::size_t migrations = 0;
-  std::size_t departure_groups = 0;
   instr_.phase(
       m_apply_ns_, "grouped.apply", "apply",
-      [&] {
-        for (std::size_t s = 0; s < shards; ++s) {
-          departure_groups += shard_bufs_[s].size();
-          for (const Departure& d : shard_bufs_[s]) {
-            counts_[static_cast<std::size_t>(d.src) * C + d.cls] -= d.count;
-            const double w = class_weights_[d.cls];
-            loads_[d.src] -= static_cast<double>(d.count) * w;
-            task_counts_[d.src] -= d.count;
-            over_.mark_dirty(d.src);
-          }
-        }
-        for (std::size_t s = 0; s < shards; ++s) {
-          for (const Departure& d : shard_bufs_[s]) {
-            const double w = class_weights_[d.cls];
-            for (std::uint32_t i = 0; i < d.count; ++i) {
-              const Node dst =
-                  sample_destination(n_, d.src, config_.exclude_self, rng);
-              ++counts_[static_cast<std::size_t>(dst) * C + d.cls];
-              loads_[dst] += w;
-              ++task_counts_[dst];
-              over_.mark_dirty(dst);
-              ++migrations;
-            }
-          }
-        }
-      },
-      [&](dsan::Digest& d) { dsan::digest_loads(loads_, d); });
+      [&] { migrations = classes_.apply(rng, config_.exclude_self); },
+      [&](dsan::Digest& d) { dsan::digest_loads(classes_.loads(), d); });
   if (probe != nullptr) probe->end_step(rng);
 
-  instr_.add(m_departure_groups_, departure_groups);
+  instr_.add(m_departure_groups_, classes_.departure_groups());
   instr_.add(m_departures_, migrations);
-  deltas_.publish(over_);
+  deltas_.publish(classes_.tracker());
   return migrations;
 }
 
@@ -497,44 +357,12 @@ std::uint32_t GroupedUserEngine::overloaded_count() const {
   return static_cast<std::uint32_t>(overloaded().size());
 }
 
-double GroupedUserEngine::max_load() const {
-  const auto load = [this](graph::Node r) { return loads_[r]; };
-  if (const LoadIndex* idx = over_.query_index(load)) {
-    return idx->max_indexed_load();
-  }
-  return *std::max_element(loads_.begin(), loads_.end());
-}
-
 void GroupedUserEngine::collect_fingerprint(dsan::Digest& d) const {
-  const std::size_t C = class_weights_.size();
   d.u64(n_);
-  d.u64(C);
-  for (Node r = 0; r < n_; ++r) {
-    d.f64(loads_[r]);
-    d.u64(task_counts_[r]);
-    for (std::size_t c = 0; c < C; ++c) {
-      d.u64(counts_[static_cast<std::size_t>(r) * C + c]);
-    }
-  }
+  d.u64(classes_.num_classes());
+  classes_.digest_rows(d);
   for (Node r = 0; r < n_; ++r) d.f64(thresholds_[r]);
-  // Tracker bookkeeping: const reads only, same surface as digest_state —
-  // items() as of the last flush plus the dirty/flush counters. Never
-  // flush here: that would shift the per-step counter deltas above.
-  for (const Node r : over_.items()) d.u64(r);
-  d.u64(over_.dirty_size());
-  d.u64(over_.flush_checks());
-  d.u64(over_.dirty_marks());
-}
-
-void GroupedUserEngine::collect_load_stats(LoadStatsCalc& calc,
-                                           LoadStats& out) const {
-  const auto load = [this](graph::Node r) { return loads_[r]; };
-  const double T = reported_threshold();
-  if (const LoadIndex* idx = over_.query_index(load)) {
-    out = calc.compute_indexed(*idx, n_, T);
-  } else {
-    out = calc.compute_scan(n_, T, load);
-  }
+  classes_.digest_tracker(d);
 }
 
 double GroupedUserEngine::reported_threshold() const {

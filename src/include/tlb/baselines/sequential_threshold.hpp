@@ -1,42 +1,14 @@
 #pragma once
-// Sequential threshold-based allocation in the style of Berenbrink,
-// Khodamoradi, Sauerwald & Stauffer [5]: balls arrive one at a time; each
-// ball repeatedly picks a uniformly random bin and settles in the first one
-// whose load stays within the threshold. For unit balls and threshold
-// ⌈m/n⌉ + 1 the total number of random choices is O(m) w.h.p. while the
-// maximum load is near-optimal. The weighted generalisation accepts a ball
-// when load + w <= threshold.
-//
-// This is the *sequential* counterpart of the paper's parallel protocols:
-// same acceptance rule, but one ball at a time with global retries — used
-// by the comparison bench to show what the threshold idea buys before any
-// parallelism.
-
-#include <cstdint>
-#include <vector>
+// The comparison threshold of the sequential threshold allocation of
+// Berenbrink, Khodamoradi, Sauerwald & Stauffer [5] (the process itself is
+// engine::SequentialThresholdBalancer): balls retry uniform bins until one
+// keeps load + w <= threshold. For unit balls [5] uses ⌈m/n⌉ + 1, which
+// keeps the total number of random choices O(m) w.h.p.
 
 #include "tlb/graph/graph.hpp"
 #include "tlb/tasks/task_set.hpp"
-#include "tlb/util/rng.hpp"
 
 namespace tlb::baselines {
-
-/// Outcome of a sequential threshold allocation.
-struct SequentialThresholdResult {
-  std::vector<double> loads;   ///< final per-bin loads
-  std::uint64_t choices = 0;   ///< total random bin probes
-  double max_load = 0.0;       ///< heaviest bin
-  bool completed = false;      ///< false iff some ball exhausted max_retries
-  std::size_t placed = 0;      ///< balls successfully placed
-};
-
-/// Allocate tasks (in id order) with the retry-until-fits rule.
-/// `threshold` is the per-bin load cap; `max_retries_per_ball` guards
-/// against infeasible thresholds (a ball that cannot fit anywhere).
-SequentialThresholdResult sequential_threshold(const tasks::TaskSet& ts,
-                                               graph::Node n, double threshold,
-                                               util::Rng& rng,
-                                               int max_retries_per_ball = 100000);
 
 /// The [5] threshold for unit balls: ceil(m/n) + 1, generalised to weights
 /// as W/n + w_max (the proper-assignment bound, always feasible).

@@ -1,10 +1,13 @@
 #pragma once
-// Dynamic workload extension: the paper's protocols under churn.
+// Dynamic workload extension: the paper's user-controlled protocol under
+// churn.
 //
 // The paper analyses a static task set; the natural systems question is
 // whether the user-controlled protocol *keeps* the system below threshold
 // when tasks arrive and complete continuously and resources occasionally
-// crash. This engine extends the grouped user engine with:
+// crash. DynamicUserEngine owns a ClassLoads (the grouped class-count
+// state, sampler and scatter it shares with GroupedUserEngine) and adds,
+// each round:
 //   * arrivals: `arrival_rate` new tasks per round (binomially dispersed),
 //     with weights drawn from a fixed class distribution, landing on a
 //     uniform resource or on a fixed hotspot;
@@ -13,21 +16,22 @@
 //     arrival_rate / completion_rate);
 //   * crashes: each round, with probability `crash_rate`, one uniformly
 //     random resource fails and its entire stack is scattered to uniform
-//     random resources (fail-over), after which the resource rejoins empty.
-// The threshold is recomputed from the *current* total weight every round
-// (the diffusion bootstrap of footnote 1 justifies resources tracking W/n).
+//     random resources (fail-over), after which the resource rejoins empty;
+//   * the threshold, recomputed from the *current* total weight (the
+//     diffusion bootstrap of footnote 1 justifies resources tracking W/n);
+//   * one grouped Algorithm 6.1 round against that threshold.
 //
 // Metrics: per-round overloaded fraction and max/avg load ratio, aggregated
-// over a measurement window after warm-up.
+// over a measurement window after warm-up (DynamicMetrics).
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
 
+#include "tlb/core/class_loads.hpp"
 #include "tlb/core/instrument.hpp"
 #include "tlb/core/load_stats.hpp"
-#include "tlb/core/overloaded_set.hpp"
 #include "tlb/core/threshold.hpp"
 #include "tlb/graph/graph.hpp"
 #include "tlb/util/rng.hpp"
@@ -125,23 +129,29 @@ class DynamicUserEngine {
   /// Heaviest resource right now. Under churn the threshold moves every
   /// round, so the tracker's load index is live and serves this in
   /// O(#buckets + #touched) instead of the O(n) scan fallback.
-  [[nodiscard]] double max_load() const;
+  [[nodiscard]] double max_load() const { return classes_.max_load(); }
   /// User potential Φ(t) = Σ_r φ_r(t) against the current threshold.
-  [[nodiscard]] double potential() const;
+  [[nodiscard]] double potential() const {
+    return classes_.potential(threshold_of());
+  }
   /// Analytics hook: deterministic load-distribution snapshot against the
   /// current threshold, index-served when the tracker's index is live.
-  void collect_load_stats(LoadStatsCalc& calc, LoadStats& out) const;
+  void collect_load_stats(LoadStatsCalc& calc, LoadStats& out) const {
+    classes_.load_stats(calc, threshold_, out);
+  }
   /// dsan hook: digest the churn state surface (loads, per-class counts,
   /// population, threshold, tracker bookkeeping). Const reads only.
   void collect_fingerprint(dsan::Digest& d) const;
   /// dsan hook: copy the per-resource load vector (bisection report).
-  void collect_loads(std::vector<double>& out) const { out = loads_; }
+  void collect_loads(std::vector<double>& out) const {
+    out = classes_.loads();
+  }
   /// The threshold currently in force (recomputed every round).
   [[nodiscard]] double reported_threshold() const noexcept {
     return threshold_;
   }
   /// Paranoid-mode check: incremental overloaded set vs brute-force rescan.
-  void audit() const { check_overloaded_invariant(); }
+  void audit() const { classes_.audit(threshold_of(), "DynamicUserEngine"); }
   /// Measured-window brackets called by engine::drive: reset and arm the
   /// metrics accumulator / disarm it.
   void begin_measure();
@@ -154,20 +164,18 @@ class DynamicUserEngine {
   /// Current number of tasks.
   std::uint64_t population() const noexcept { return population_; }
   /// Current load of resource r.
-  double load(graph::Node r) const noexcept { return loads_[r]; }
+  double load(graph::Node r) const noexcept { return classes_.load(r); }
   /// Threshold currently in force (recomputed each round).
   double current_threshold() const noexcept { return threshold_; }
   /// Migrations performed in the most recent step.
   std::size_t last_migrations() const noexcept { return last_migrations_; }
 
-  /// Overloaded-list shard grain for the phase-1 sampler. Part of the
-  /// deterministic stream definition; changing it changes results.
-  static constexpr std::size_t kShardGrain = 512;
-
   /// Read-only view of the incremental overloaded tracker (tests assert
   /// reconciliation cost via flush_checks(), e.g. that a quiet round with
   /// an unchanged threshold does no full rescan).
-  const OverloadedSet& overloaded_tracker() const noexcept { return over_; }
+  const OverloadedSet& overloaded_tracker() const noexcept {
+    return classes_.tracker();
+  }
 
  private:
   void do_arrivals(util::Rng& rng);
@@ -175,7 +183,7 @@ class DynamicUserEngine {
   void do_crash(util::Rng& rng);
   std::size_t do_protocol_step(util::Rng& rng);
   void recompute_threshold();
-  double phi_of(graph::Node r) const;
+  ThresholdOf threshold_of() const noexcept { return {nullptr, threshold_}; }
   /// The incrementally tracked overloaded set (reconciled on access). A
   /// *changed* global threshold flips exactly the resources whose load lies
   /// between the old and new value, and the tracker's bucketed LoadIndex
@@ -183,17 +191,14 @@ class DynamicUserEngine {
   /// a recomputation that lands on the same value — quiet rounds with no
   /// arrivals, completions or crashes — leaves the dirty set untouched, so
   /// those rounds stay O(#touched).
-  const std::vector<graph::Node>& overloaded_now() const;
-  void check_overloaded_invariant() const;
+  const std::vector<graph::Node>& overloaded_now() const {
+    return classes_.overloaded(threshold_of());
+  }
 
   DynamicConfig config_;
-  std::vector<double> class_weights_;   // ascending
+  ClassLoads classes_;                  // counts, loads, tracker
   std::vector<double> class_cdf_;       // arrival sampling
   double w_max_ = 1.0;                  // max class weight (static bound)
-  // State: per-resource per-class counts, loads, task counts.
-  std::vector<std::uint32_t> counts_;   // n x C row-major
-  std::vector<double> loads_;
-  std::vector<std::uint32_t> task_counts_;
   double total_weight_ = 0.0;
   std::uint64_t population_ = 0;
   double threshold_ = 1.0;
@@ -201,16 +206,7 @@ class DynamicUserEngine {
   std::size_t last_migrations_ = 0;
   DynamicMetrics* metrics_ = nullptr;   // non-null during measured rounds
   DynamicMetrics metrics_store_;        // the driver-armed accumulator
-  mutable OverloadedSet over_;          // incremental overloaded set
-
-  /// One (resource, class) departure drawn in phase 1, applied in phase 2.
-  struct Departure {
-    graph::Node src;
-    std::uint32_t cls;
-    std::uint32_t count;
-  };
-  std::unique_ptr<util::ThreadPool> pool_;          // phase-1 workers
-  std::vector<std::vector<Departure>> shard_bufs_;  // per-shard output
+  std::unique_ptr<util::ThreadPool> pool_;  // phase-1 workers
 
   // Observability: "dynamic.*" phase spans, phase digests and
   // deterministic churn/cost counters, wired from DynamicConfig in the

@@ -49,8 +49,8 @@ struct EngineOptions {
   // --- Observability (all optional, none owned, all determinism-neutral:
   // observers never touch the RNG and probes only read clocks) ---
 
-  /// Observer run() attaches to the drive (e.g. an engine::PotentialTrace,
-  /// a JsonTraceSink or an obs::MetricsObserver supplied by the caller).
+  /// Observer run() attaches to the drive (e.g. an engine::PotentialTrace
+  /// or a JsonTraceSink supplied by the caller).
   engine::RoundObserver* observer = nullptr;
   /// Metrics registry the engine and driver report counters/timings into.
   /// nullptr (the default) = fully detached: no handles registered, no

@@ -37,9 +37,9 @@
 #include <optional>
 #include <vector>
 
+#include "tlb/core/class_loads.hpp"
 #include "tlb/core/instrument.hpp"
 #include "tlb/core/metrics.hpp"
-#include "tlb/core/overloaded_set.hpp"
 #include "tlb/core/system_state.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/util/rng.hpp"
@@ -146,8 +146,10 @@ class UserControlledEngine {
   obs::MetricId m_coins_, m_departures_;
 };
 
-/// Grouped (binomial-per-weight-class) engine. Requires a task set with at
-/// most `kMaxClasses` distinct weights; throws otherwise.
+/// Grouped (binomial-per-weight-class) engine: a thin owner of the shared
+/// ClassLoads state (counts, loads, tracker, phase-1 sampler and phase-2
+/// scatter). Requires a task set with at most `kMaxClasses` distinct
+/// weights; throws otherwise.
 class GroupedUserEngine {
  public:
   /// Upper bound on distinct weights the grouped representation accepts.
@@ -172,68 +174,53 @@ class GroupedUserEngine {
   // engine::Balancer view (driver metrics + observers).
   /// Number of resources currently above threshold.
   [[nodiscard]] std::uint32_t overloaded_count() const;
-  /// Heaviest resource right now. Served from the tracker's load index in
-  /// O(#buckets) while live (threshold shifts armed it); O(n) otherwise.
-  [[nodiscard]] double max_load() const;
+  /// Heaviest resource right now (see ClassLoads::max_load).
+  [[nodiscard]] double max_load() const { return classes_.max_load(); }
   /// The threshold RunResult reports (largest configured).
   [[nodiscard]] double reported_threshold() const;
   /// Paranoid-mode check: incremental overloaded set vs brute-force rescan.
-  void audit() const { check_overloaded_invariant(); }
+  void audit() const { classes_.audit(threshold_of(), "GroupedUserEngine"); }
   /// Analytics hook: deterministic load-distribution snapshot against
   /// reported_threshold(), index-served when the tracker's index is live.
-  void collect_load_stats(LoadStatsCalc& calc, LoadStats& out) const;
+  void collect_load_stats(LoadStatsCalc& calc, LoadStats& out) const {
+    classes_.load_stats(calc, reported_threshold(), out);
+  }
   /// dsan hook: digest the grouped state surface (loads, per-class counts,
-  /// tracker bookkeeping) — the engine has no SystemState, so the generic
-  /// digest cannot serve it. Const reads only; never reconciles the set.
+  /// thresholds, tracker bookkeeping) — the engine has no SystemState, so
+  /// the generic digest cannot serve it. Const reads only; never
+  /// reconciles the set.
   void collect_fingerprint(dsan::Digest& d) const;
   /// dsan hook: copy the per-resource load vector (bisection report).
-  void collect_loads(std::vector<double>& out) const { out = loads_; }
-
-  /// Overloaded-list shard grain for the grouped phase-1 sampler (per-class
-  /// binomials are cheap, so shards batch whole resources). Part of the
-  /// deterministic stream definition; changing it changes results.
-  static constexpr std::size_t kShardGrain = 512;
+  void collect_loads(std::vector<double>& out) const {
+    out = classes_.loads();
+  }
 
   /// Number of distinct weight classes.
-  std::size_t num_classes() const noexcept { return class_weights_.size(); }
+  std::size_t num_classes() const noexcept { return classes_.num_classes(); }
   /// Load of resource r (for tests).
-  double load(Node r) const noexcept { return loads_[r]; }
+  double load(Node r) const noexcept { return classes_.load(r); }
   /// The threshold of resource r.
   double threshold(Node r) const noexcept { return thresholds_[r]; }
   /// The user potential Σ φ_r under the canonical ascending-weight stacking.
   /// O(#overloaded): φ_r = 0 on every non-overloaded resource.
-  [[nodiscard]] double potential() const;
+  [[nodiscard]] double potential() const {
+    return classes_.potential(threshold_of());
+  }
 
  private:
-  double phi_of(Node r) const;
-  /// Count of tasks on r that fit completely below the threshold when
-  /// classes are stacked in ascending weight order; returns fitted weight.
-  double fitted_prefix_weight(Node r) const;
+  ThresholdOf threshold_of() const noexcept { return {thresholds_.data()}; }
   /// The incrementally tracked overloaded set (reconciled on access).
-  const std::vector<Node>& overloaded() const;
-  /// Throw std::logic_error if the incremental set disagrees with a brute
-  /// force rescan (paranoid-check mode).
-  void check_overloaded_invariant() const;
-
-  /// One (resource, class) departure drawn in phase 1, applied in phase 2.
-  struct Departure {
-    Node src;
-    std::uint32_t cls;
-    std::uint32_t count;
-  };
+  const std::vector<Node>& overloaded() const {
+    return classes_.overloaded(threshold_of());
+  }
 
   const tasks::TaskSet* tasks_;
   UserProtocolConfig config_;
   std::vector<double> thresholds_;  // resolved per-resource thresholds
   Node n_;
-  std::vector<double> class_weights_;         // ascending
   std::vector<std::uint32_t> task_class_;     // task id -> class
-  std::vector<std::uint32_t> counts_;         // n_ x C, row-major
-  std::vector<double> loads_;                 // per resource
-  std::vector<std::uint32_t> task_counts_;    // per resource (b_r)
-  mutable OverloadedSet over_;                // incremental overloaded set
+  ClassLoads classes_;                        // counts, loads, tracker
   std::unique_ptr<util::ThreadPool> pool_;    // phase-1 workers (threads != 1)
-  std::vector<std::vector<Departure>> shard_bufs_;  // per-shard phase-1 output
   // Observability: "grouped.*" phase spans, phase digests and cost
   // counters (same wiring as the exact engine).
   Instruments instr_;

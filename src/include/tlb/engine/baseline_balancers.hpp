@@ -1,11 +1,8 @@
 #pragma once
-// The six tlb::baselines allocators, wrapped as engine::Balancer processes.
-//
-// The baselines used to be free functions with bespoke result structs,
-// unreachable from workload::Scenario, tlb_sim and the perf suite. Each
-// wrapper below owns the process state (bin loads, unplaced balls) and
-// exposes the same step()/balanced()/observable surface as the paper's
-// engines, so engine::drive runs paper protocols and related-work baselines
+// The related-work allocators as engine::Balancer processes. Each wrapper
+// owns the process state (bin loads, unplaced balls) and exposes the same
+// step()/balanced()/observable surface as the paper's engines, so
+// engine::drive runs paper protocols and related-work baselines
 // head-to-head from the same spec grammar, with the same observers, audits
 // and deterministic RunResult accumulation.
 //
@@ -22,11 +19,6 @@
 //   * Selfish reallocation already had engine shape; its engine
 //     (baselines::SelfishReallocEngine) satisfies the concept directly and
 //     needs no wrapper here.
-//
-// The legacy free functions (baselines::sequential_threshold,
-// parallel_threshold, greedy_d_choice, one_plus_beta,
-// first_fit_centralized) remain as thin shims over these wrappers — same
-// RNG stream, same results — so existing benches and tests are untouched.
 
 #include <cstdint>
 #include <vector>

@@ -251,6 +251,9 @@ Scenario::Scenario(ScenarioSpec spec, ScenarioParams params)
   if (params_.threshold == core::ThresholdKind::kAboveAverage) {
     util::require_finite_positive(params_.eps, "scenario: above-average eps");
   }
+  // Checked for every protocol, including those that never read it, so a
+  // mistyped --alpha fails the run instead of being ignored.
+  util::require_finite_positive(params_.alpha, "scenario: alpha");
 }
 
 Scenario::~Scenario() = default;

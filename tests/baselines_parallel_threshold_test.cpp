@@ -1,30 +1,38 @@
 // Tests for the Adler et al. [4]-style parallel threshold allocation:
 // round/threshold trade-off, completion, and communication accounting.
-#include "tlb/baselines/parallel_threshold.hpp"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "tlb/engine/baseline_balancers.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/tasks/weights.hpp"
 
 namespace {
 
-using namespace tlb::baselines;
+using tlb::engine::ParallelThresholdBalancer;
 using tlb::graph::Node;
 using tlb::tasks::TaskSet;
 using tlb::util::Rng;
+
+/// Drive `balancer` for at most `max_rounds` rounds; returns the rounds used.
+long run(ParallelThresholdBalancer& balancer, long max_rounds, Rng& rng) {
+  tlb::engine::DriveOptions opt;
+  opt.max_rounds = max_rounds;
+  return tlb::engine::drive(balancer, rng, opt).rounds;
+}
 
 TEST(ParallelThresholdTest, CompletesWithGenerousThreshold) {
   const Node n = 64;
   const TaskSet ts = tlb::tasks::uniform_unit(640);
   Rng rng(1);
-  const auto result = parallel_threshold(ts, n, 20.0, 100, rng);
-  ASSERT_TRUE(result.completed);
-  EXPECT_EQ(result.placed, 640u);
-  EXPECT_LE(result.max_load, 20.0);
+  ParallelThresholdBalancer balancer(ts, n, 20.0);
+  run(balancer, 100, rng);
+  ASSERT_TRUE(balancer.done());
+  EXPECT_EQ(balancer.placed(), 640u);
+  EXPECT_LE(balancer.max_load(), 20.0);
   double total = 0.0;
-  for (double x : result.loads) total += x;
+  for (double x : balancer.loads()) total += x;
   EXPECT_NEAR(total, 640.0, 1e-9);
 }
 
@@ -34,12 +42,14 @@ TEST(ParallelThresholdTest, OneRoundEqualsRandomThrowWithRejections) {
   const Node n = 2000;
   const TaskSet ts = tlb::tasks::uniform_unit(n);
   Rng rng(2);
-  const auto result = parallel_threshold(ts, n, 1.0, 1, rng);
-  EXPECT_FALSE(result.completed);  // collisions are overwhelming at m = n
+  ParallelThresholdBalancer balancer(ts, n, 1.0);
+  run(balancer, 1, rng);
+  EXPECT_FALSE(balancer.done());  // collisions are overwhelming at m = n
   // Expected occupied fraction after one throw: 1 - (1 - 1/n)^n -> 1 - 1/e,
   // and placed = occupied bins (each keeps exactly one ball at T = 1).
   const double expected = n * (1.0 - std::exp(-1.0));
-  EXPECT_NEAR(static_cast<double>(result.placed), expected, 4.0 * std::sqrt(n));
+  EXPECT_NEAR(static_cast<double>(balancer.placed()), expected,
+              4.0 * std::sqrt(n));
 }
 
 TEST(ParallelThresholdTest, TradeoffMoreRoundsLowerFeasibleThreshold) {
@@ -53,9 +63,9 @@ TEST(ParallelThresholdTest, TradeoffMoreRoundsLowerFeasibleThreshold) {
       int successes = 0;
       for (int trial = 0; trial < 9; ++trial) {
         Rng rng(1000 + trial);
-        if (parallel_threshold(ts, n, threshold, rounds, rng).completed) {
-          ++successes;
-        }
+        ParallelThresholdBalancer balancer(ts, n, threshold);
+        run(balancer, rounds, rng);
+        if (balancer.done()) ++successes;
       }
       if (successes >= 5) return threshold;
     }
@@ -68,10 +78,10 @@ TEST(ParallelThresholdTest, MessagesCountProposals) {
   const Node n = 16;
   const TaskSet ts = tlb::tasks::uniform_unit(16);
   Rng rng(3);
-  const auto result = parallel_threshold(ts, n, 100.0, 10, rng);
-  ASSERT_TRUE(result.completed);
-  EXPECT_EQ(result.rounds, 1);       // everything fits first try
-  EXPECT_EQ(result.messages, 16u);   // one proposal per ball
+  ParallelThresholdBalancer balancer(ts, n, 100.0);
+  EXPECT_EQ(run(balancer, 10, rng), 1);  // everything fits first try
+  ASSERT_TRUE(balancer.done());
+  EXPECT_EQ(balancer.messages(), 16u);   // one proposal per ball
 }
 
 TEST(ParallelThresholdTest, WeightedBallsRespectThreshold) {
@@ -80,16 +90,16 @@ TEST(ParallelThresholdTest, WeightedBallsRespectThreshold) {
   const Node n = 50;
   const double T = ts.total_weight() / n + ts.max_weight();
   Rng rng(5);
-  const auto result = parallel_threshold(ts, n, T, 10000, rng);
-  ASSERT_TRUE(result.completed);
-  EXPECT_LE(result.max_load, T + 1e-9);
+  ParallelThresholdBalancer balancer(ts, n, T);
+  run(balancer, 10000, rng);
+  ASSERT_TRUE(balancer.done());
+  EXPECT_LE(balancer.max_load(), T + 1e-9);
 }
 
 TEST(ParallelThresholdTest, RejectsBadArgs) {
   const TaskSet ts = tlb::tasks::uniform_unit(4);
-  Rng rng(6);
-  EXPECT_THROW(parallel_threshold(ts, 0, 5.0, 10, rng), std::invalid_argument);
-  EXPECT_THROW(parallel_threshold(ts, 4, 0.0, 10, rng), std::invalid_argument);
+  EXPECT_THROW(ParallelThresholdBalancer(ts, 0, 5.0), std::invalid_argument);
+  EXPECT_THROW(ParallelThresholdBalancer(ts, 4, 0.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -11,8 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "tlb/baselines/selfish_realloc.hpp"
 #include "tlb/core/dynamic.hpp"
 #include "tlb/core/graph_user_protocol.hpp"
+#include "tlb/core/hetero.hpp"
 #include "tlb/core/mixed_protocol.hpp"
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/system_state.hpp"
@@ -56,6 +58,13 @@ std::vector<Knob> knobs() {
     workload::ScenarioParams params;
     params.eps = eps;
     workload::Scenario(workload::resolve_scenario("fig1"), params);
+  };
+  const auto scenario_alpha = [](const char* spec) {
+    return [spec](double alpha) {
+      workload::ScenarioParams params;
+      params.alpha = alpha;
+      workload::Scenario(workload::ScenarioSpec::parse(spec), params);
+    };
   };
   return {
       {"exact threshold",
@@ -140,6 +149,41 @@ std::vector<Knob> knobs() {
                                      8, 1.0, x);
        }},
       {"scenario eps", scenario_eps},
+      // alpha is rejected for every protocol, also those that never read it.
+      {"scenario alpha (user)", scenario_alpha("user:complete:unit:batch")},
+      {"scenario alpha (resource)",
+       scenario_alpha("resource:hypercube:unit:batch")},
+      {"scenario alpha (baseline)",
+       scenario_alpha("firstfit:complete:uniform(8):batch")},
+      {"hetero two_class_speeds ratio",
+       [](double x) { (void)core::two_class_speeds(8, 2, x); }},
+      {"hetero random_speeds lo",
+       [](double x) {
+         util::Rng rng(1);
+         (void)core::random_speeds(8, x, 4.0, rng);
+       }},
+      {"hetero random_speeds hi",
+       [](double x) {
+         util::Rng rng(1);
+         (void)core::random_speeds(8, 0.25, x, rng);
+       }},
+      {"hetero speeds[r]",
+       [&](double x) {
+         (void)core::speed_proportional_thresholds(
+             ts, {1.0, x, 1.0, 1.0}, core::ThresholdKind::kTightUser);
+       }},
+      {"hetero eps",
+       [&](double x) {
+         (void)core::speed_proportional_thresholds(
+             ts, core::uniform_speeds(4), core::ThresholdKind::kAboveAverage,
+             x);
+       }},
+      {"selfish stop_threshold",
+       [&](double x) {
+         baselines::SelfishConfig cfg;
+         cfg.stop_threshold = x;
+         baselines::SelfishReallocEngine(ts, 4, cfg);
+       }},
   };
 }
 

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <vector>
 
 #include "tlb/core/potential.hpp"
 #include "tlb/core/threshold.hpp"
@@ -128,6 +131,72 @@ TEST(GroupedEngineTest, RejectsTooManyClasses) {
   const TaskSet ts = tlb::tasks::uniform_real(200, 50.0, rng);
   EXPECT_THROW(GroupedUserEngine(ts, 8, make_config(20.0)),
                std::invalid_argument);
+}
+
+/// Σ φ_r of `placement` measured independently of the grouped engine: the
+/// tasks pushed onto a SystemState in ascending weight order (the grouped
+/// engine's canonical stacking), φ_r read off the stacks.
+double stacked_potential(const TaskSet& ts, Node n,
+                         const tlb::tasks::Placement& placement,
+                         const std::vector<double>& thresholds) {
+  std::vector<TaskId> order(ts.size());
+  std::iota(order.begin(), order.end(), TaskId{0});
+  std::stable_sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
+    return ts.weight(a) < ts.weight(b);
+  });
+  SystemState state(ts, n);
+  state.set_thresholds(thresholds);
+  for (TaskId id : order) state.push(placement[id], id);
+  return user_potential(state, thresholds);
+}
+
+/// The grouped engine's potential on `placement` against `thresholds`.
+double grouped_potential(const TaskSet& ts, Node n,
+                         const tlb::tasks::Placement& placement,
+                         const std::vector<double>& thresholds) {
+  UserProtocolConfig cfg = make_config(thresholds.front());
+  cfg.thresholds = thresholds;
+  GroupedUserEngine engine(ts, n, cfg);
+  engine.reset(placement);
+  return engine.potential();
+}
+
+TEST(GroupedEngineTest, PotentialMatchesAscendingStackPhiAtExactFit) {
+  // One resource holds 1, 1, 2, 3, 5 (load 12). At T = 7 the ascending
+  // prefix 1+1+2+3 fits exactly (a task ending *at* T is below it), so the
+  // 5 is the cutting task: φ = 5. At T = 6.5 the 3 already cuts: φ = 8.
+  const TaskSet ts(std::vector<double>{5.0, 1.0, 3.0, 2.0, 1.0});
+  const tlb::tasks::Placement on_zero(ts.size(), 0);
+  for (const auto& [T, phi] : {std::pair{7.0, 5.0}, std::pair{6.5, 8.0}}) {
+    const std::vector<double> thresholds(2, T);
+    EXPECT_EQ(stacked_potential(ts, 2, on_zero, thresholds), phi);
+    EXPECT_EQ(grouped_potential(ts, 2, on_zero, thresholds), phi);
+  }
+}
+
+TEST(GroupedEngineTest, PotentialMatchesAscendingStackPhiOnRandomSets) {
+  // Dyadic weights keep every load and prefix sum exact, so the two φ
+  // computations must agree bit for bit; the thresholds differ per
+  // resource and include values that land exactly on a prefix sum.
+  const std::vector<double> palette = {1.0, 1.25, 1.5, 2.25, 3.0, 4.75, 8.0};
+  Rng rng(0x9411);
+  for (int trial = 0; trial < 200; ++trial) {
+    const Node n = 2 + static_cast<Node>(rng.uniform_below(4));
+    std::vector<double> w(1 + rng.uniform_below(40));
+    for (double& x : w) x = palette[rng.uniform_below(palette.size())];
+    const TaskSet ts(w);
+    tlb::tasks::Placement placement(ts.size());
+    for (auto& r : placement) {
+      r = static_cast<Node>(rng.uniform_below(rng.bernoulli(0.5) ? 1 : n));
+    }
+    std::vector<double> thresholds(n);
+    for (double& T : thresholds) {
+      T = 0.25 * static_cast<double>(4 + rng.uniform_below(120));
+    }
+    EXPECT_DOUBLE_EQ(grouped_potential(ts, n, placement, thresholds),
+                     stacked_potential(ts, n, placement, thresholds))
+        << "trial " << trial;
+  }
 }
 
 TEST(GroupedEngineTest, TerminatesAndConservesWeight) {

@@ -1,20 +1,18 @@
-// Observer-contract and metrics-observability tests: MetricsObserver as an
-// ordering sentinel for engine::drive's hook sequence (should_stop ->
-// on_round -> step -> on_round_end, once on_finish) under balance,
-// early-stop and the max_rounds cap; and the determinism contract of the
-// engine metrics — attaching a registry never changes a RunResult, and the
-// deterministic snapshot serialises byte-identically across engine-thread
-// counts {1, 2, 0}.
+// Observer-contract and metrics-observability tests: a test-local ordering
+// sentinel for engine::drive's hook sequence (should_stop -> on_round ->
+// step -> on_round_end, once on_finish) under balance, early-stop and the
+// max_rounds cap; and the determinism contract of the engine metrics —
+// attaching a registry never changes a RunResult, and the deterministic
+// snapshot serialises byte-identically across engine-thread counts
+// {1, 2, 0}.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "tlb/core/user_protocol.hpp"
 #include "tlb/engine/driver.hpp"
-#include "tlb/obs/metrics_observer.hpp"
 #include "tlb/obs/registry.hpp"
 #include "tlb/obs/trace_event.hpp"
 #include "tlb/tasks/placement.hpp"
@@ -25,7 +23,6 @@ namespace {
 
 using namespace tlb;
 using core::RunResult;
-using obs::MetricsObserver;
 using obs::Registry;
 using obs::Snapshot;
 using tasks::TaskSet;
@@ -47,6 +44,45 @@ core::UserProtocolConfig user_config(const TaskSet& ts, graph::Node n,
   return cfg;
 }
 
+/// Ordering sentinel for the driver's hook contract: every on_round is
+/// closed by an on_round_end of the same index, round indices run 0, 1, …,
+/// and on_finish arrives exactly once, outside a round. Violations are
+/// collected rather than thrown so one run reports all of them.
+class HookSentinel final : public engine::RoundObserver {
+ public:
+  void on_round(const engine::BalancerView&, long round) override {
+    if (finishes_ > 0) errors_.emplace_back("on_round after on_finish");
+    if (in_round_) errors_.emplace_back("on_round inside an open round");
+    if (round != closed_) errors_.emplace_back("round index out of sequence");
+    in_round_ = true;
+    open_ = round;
+  }
+  void on_round_end(const engine::BalancerView&, long round,
+                    std::size_t) override {
+    if (!in_round_ || round != open_) {
+      errors_.emplace_back("on_round_end without a matching on_round");
+    }
+    in_round_ = false;
+    ++closed_;
+  }
+  void on_finish(const engine::BalancerView&) override {
+    if (in_round_) errors_.emplace_back("on_finish inside an open round");
+    ++finishes_;
+  }
+
+  /// Rounds closed by on_round_end.
+  long rounds() const noexcept { return closed_; }
+  int finishes() const noexcept { return finishes_; }
+  const std::vector<std::string>& errors() const noexcept { return errors_; }
+
+ private:
+  bool in_round_ = false;
+  long open_ = -1;
+  long closed_ = 0;
+  int finishes_ = 0;
+  std::vector<std::string> errors_;
+};
+
 /// Minimal view for driving the observer hooks by hand.
 class StubView final : public engine::BalancerView {
  public:
@@ -56,126 +92,77 @@ class StubView final : public engine::BalancerView {
   bool balanced() const override { return false; }
 };
 
-TEST(MetricsObserverTest, RejectsNullRegistry) {
-  EXPECT_THROW(MetricsObserver(nullptr), std::invalid_argument);
-}
-
-TEST(MetricsObserverTest, EnforcesHookOrdering) {
-  Registry reg;
+TEST(HookOrderTest, SentinelFlagsOutOfOrderHooks) {
   const StubView view;
+  HookSentinel unopened;
+  unopened.on_round_end(view, 0, 0);
+  EXPECT_FALSE(unopened.errors().empty());
 
-  {  // on_round_end without a matching on_round
-    MetricsObserver obs(&reg);
-    EXPECT_THROW(obs.on_round_end(view, 0, 0), std::logic_error);
-  }
-  {  // round index mismatch between on_round and on_round_end
-    MetricsObserver obs(&reg);
-    obs.on_round(view, 0);
-    EXPECT_THROW(obs.on_round_end(view, 5, 0), std::logic_error);
-  }
-  {  // on_round without closing the previous round
-    MetricsObserver obs(&reg);
-    obs.on_round(view, 0);
-    EXPECT_THROW(obs.on_round(view, 1), std::logic_error);
-  }
-  {  // on_finish mid-round, then double on_finish
-    MetricsObserver obs(&reg);
-    obs.on_round(view, 0);
-    EXPECT_THROW(obs.on_finish(view), std::logic_error);
-    obs.on_round_end(view, 0, 0);
-    obs.on_finish(view);
-    EXPECT_THROW(obs.on_finish(view), std::logic_error);
-  }
-  {  // hooks after on_finish
-    MetricsObserver obs(&reg);
-    obs.on_finish(view);
-    EXPECT_THROW(obs.on_round(view, 0), std::logic_error);
-  }
-  {  // final_snapshot before on_finish
-    MetricsObserver obs(&reg);
-    EXPECT_THROW(obs.final_snapshot(), std::logic_error);
-  }
+  HookSentinel finished_mid_round;
+  finished_mid_round.on_round(view, 0);
+  finished_mid_round.on_finish(view);
+  EXPECT_FALSE(finished_mid_round.errors().empty());
 }
 
-TEST(MetricsObserverTest, ObservesEveryRoundUnderDriveToBalance) {
+TEST(HookOrderTest, PairsEveryRoundUnderDriveToBalance) {
   const graph::Node n = 32;
   const TaskSet ts = continuous_tasks(2048, 0x0B51);
   core::UserControlledEngine engine(ts, n, user_config(ts, n));
   engine.reset(tasks::all_on_one(ts));
 
-  Registry reg;
-  MetricsObserver obs(&reg, /*keep_rounds=*/true);
-  engine::DriveOptions opt;
-  opt.registry = &reg;
+  HookSentinel sentinel;
   Rng rng(7);
-  const RunResult result = engine::drive(engine, rng, opt, &obs);
+  const RunResult result =
+      engine::drive(engine, rng, engine::DriveOptions{}, &sentinel);
 
   EXPECT_TRUE(result.balanced);
-  EXPECT_TRUE(obs.finished());
-  EXPECT_EQ(obs.rounds_observed(), static_cast<std::size_t>(result.rounds));
-  ASSERT_EQ(obs.rounds().size(), obs.rounds_observed());
-  // Every per-round delta covers exactly one drive round, and the round
-  // indices are the driver's measured-round sequence.
-  for (std::size_t i = 0; i < obs.rounds().size(); ++i) {
-    EXPECT_EQ(obs.rounds()[i].round, static_cast<long>(i));
-    const Snapshot::Entry* rounds = obs.rounds()[i].delta.find("drive.rounds");
-    ASSERT_NE(rounds, nullptr);
-    EXPECT_EQ(rounds->value, 1u);
-  }
-  const Snapshot::Entry* total = obs.final_snapshot().find("drive.rounds");
-  ASSERT_NE(total, nullptr);
-  EXPECT_EQ(total->value, static_cast<std::uint64_t>(result.rounds));
-  // The json view nests the totals under "totals" and the per-round deltas
-  // under "rounds".
-  const std::string json = obs.json(Snapshot::Part::kDeterministic);
-  EXPECT_NE(json.find("\"totals\""), std::string::npos);
-  EXPECT_NE(json.find("\"rounds\""), std::string::npos);
+  EXPECT_TRUE(sentinel.errors().empty()) << sentinel.errors().front();
+  EXPECT_EQ(sentinel.finishes(), 1);
+  EXPECT_EQ(sentinel.rounds(), result.rounds);
 }
 
-TEST(MetricsObserverTest, StaysConsistentUnderEarlyStop) {
+TEST(HookOrderTest, StaysConsistentUnderEarlyStop) {
   const graph::Node n = 32;
   const TaskSet ts = continuous_tasks(2048, 0x0B52);
   core::UserControlledEngine engine(ts, n, user_config(ts, n));
   engine.reset(tasks::all_on_one(ts));
 
-  Registry reg;
-  MetricsObserver obs(&reg);
+  HookSentinel sentinel;
   engine::EarlyStop stopper(
       [](const engine::BalancerView&, long round) { return round >= 3; });
   engine::ObserverList observers;
-  observers.add(&obs);
+  observers.add(&sentinel);
   observers.add(&stopper);
-  engine::DriveOptions opt;
-  opt.registry = &reg;
   Rng rng(11);
-  const RunResult result = engine::drive(engine, rng, opt, &observers);
+  const RunResult result =
+      engine::drive(engine, rng, engine::DriveOptions{}, &observers);
 
   // should_stop fires at the top of round 3, before on_round — so the
   // stopped round is never half-observed.
   EXPECT_EQ(result.rounds, 3);
   EXPECT_TRUE(stopper.triggered());
-  EXPECT_TRUE(obs.finished());
-  EXPECT_EQ(obs.rounds_observed(), 3u);
+  EXPECT_TRUE(sentinel.errors().empty()) << sentinel.errors().front();
+  EXPECT_EQ(sentinel.finishes(), 1);
+  EXPECT_EQ(sentinel.rounds(), 3);
 }
 
-TEST(MetricsObserverTest, StaysConsistentAtTheRoundCap) {
+TEST(HookOrderTest, StaysConsistentAtTheRoundCap) {
   const graph::Node n = 32;
   const TaskSet ts = continuous_tasks(2048, 0x0B53);
   core::UserControlledEngine engine(ts, n, user_config(ts, n));
   engine.reset(tasks::all_on_one(ts));
 
-  Registry reg;
-  MetricsObserver obs(&reg);
+  HookSentinel sentinel;
   engine::DriveOptions opt;
-  opt.registry = &reg;
   opt.max_rounds = 2;
   Rng rng(13);
-  const RunResult result = engine::drive(engine, rng, opt, &obs);
+  const RunResult result = engine::drive(engine, rng, opt, &sentinel);
 
   EXPECT_EQ(result.rounds, 2);
   EXPECT_FALSE(result.balanced);
-  EXPECT_TRUE(obs.finished());
-  EXPECT_EQ(obs.rounds_observed(), 2u);
+  EXPECT_TRUE(sentinel.errors().empty()) << sentinel.errors().front();
+  EXPECT_EQ(sentinel.finishes(), 1);
+  EXPECT_EQ(sentinel.rounds(), 2);
 }
 
 TEST(EngineMetricsTest, AttachingObservabilityChangesNoResult) {
