@@ -135,23 +135,15 @@ void DynamicUserEngine::do_arrivals(util::Rng& rng) {
 }
 
 void DynamicUserEngine::do_completions(util::Rng& rng) {
-  if (config_.completion_rate <= 0.0) return;
-  const std::size_t C = classes_.num_classes();
   std::uint64_t total_done = 0;
-  for (graph::Node r = 0; r < config_.n; ++r) {
-    for (std::size_t c = 0; c < C; ++c) {
-      const std::uint32_t k = classes_.count(r, c);
-      if (k == 0) continue;
-      const auto done = static_cast<std::uint32_t>(
-          util::binomial(rng, k, config_.completion_rate));
-      if (done == 0) continue;
-      classes_.remove(r, c, done);
-      total_weight_ -= static_cast<double>(done) * classes_.weight(c);
-      population_ -= done;
-      total_done += done;
-      if (metrics_) metrics_->completions += done;
-    }
-  }
+  classes_.complete(config_.completion_rate, rng,
+                    [&](graph::Node, std::size_t c, std::uint32_t done) {
+                      total_weight_ -=
+                          static_cast<double>(done) * classes_.weight(c);
+                      population_ -= done;
+                      total_done += done;
+                    });
+  if (metrics_) metrics_->completions += total_done;
   instr_.add(m_completions_, total_done);
 }
 

@@ -20,9 +20,13 @@
 // order on the calling thread. Shard boundaries depend only on the
 // overloaded list, so results are bitwise identical for every pool size.
 //
+// complete() is the churn engine's service step: every task finishes
+// independently with probability p, drawn as one geometric-skip thinning
+// pass over the tasks in resource-major, ascending-class order.
+//
 // The owning engine decides everything else: which class a task belongs
-// to, the thresholds in force, and any arrivals, completions or crashes
-// (through add/remove/clear, which keep the tracker informed).
+// to, the thresholds in force, and any arrivals or crashes (through
+// add/remove/clear, which keep the tracker informed).
 
 #include <algorithm>
 #include <cmath>
@@ -102,6 +106,19 @@ class ClassLoads {
   }
   /// Every task leaves r (its load is set to exactly 0).
   void clear(graph::Node r);
+
+  /// Every task finishes independently with probability p (a Bernoulli(p)
+  /// thinning of the tasks in resource-major, ascending-class order). The
+  /// gaps between completions are i.i.d. Geometric(p), so one draw from
+  /// `rng` per completion (plus the one that runs past the last task)
+  /// gives every slot exactly Binomial(k, p) completions, independently.
+  /// Only resources a completion lands on are descended into: O(n + D·C)
+  /// per call for D completions. Each slot's completions are removed and
+  /// reported as on_done(r, cls, done), in ascending (r, cls) order.
+  /// p <= 0 completes nothing and p >= 1 completes everything; neither
+  /// draws.
+  template <class OnDone>
+  void complete(double p, util::Rng& rng, OnDone&& on_done);
 
   std::size_t num_classes() const noexcept { return class_weights_.size(); }
   double weight(std::size_t cls) const noexcept { return class_weights_[cls]; }
@@ -185,5 +202,43 @@ class ClassLoads {
   std::vector<std::vector<Departure>> shard_bufs_;  // phase-1 output
   std::size_t shards_ = 0;                  // shards of the last sample()
 };
+
+template <class OnDone>
+void ClassLoads::complete(double p, util::Rng& rng, OnDone&& on_done) {
+  if (!(p > 0.0)) return;
+  // Saturation value of a gap: larger than any task count, and small
+  // enough that adding a slot position to it cannot wrap.
+  constexpr std::uint64_t kGapCap = std::uint64_t{1} << 62;
+  const double log_q = std::log1p(-p);
+  // Geometric(p) failures before the next success, by inversion:
+  // ⌊log(1−U)/log(1−p)⌋. Saturates at kGapCap when p is so small that the
+  // quotient leaves uint64 range.
+  const auto gap = [&]() -> std::uint64_t {
+    if (p >= 1.0) return 0;
+    const double g = std::floor(std::log(1.0 - rng.uniform01()) / log_q);
+    return g < static_cast<double>(kGapCap) ? static_cast<std::uint64_t>(g)
+                                            : kGapCap;
+  };
+  // `skip`: tasks to pass over before the next completion, counted from the
+  // start of the current resource (inside a row, of the current slot).
+  std::uint64_t skip = gap();
+  const std::size_t C = class_weights_.size();
+  for (graph::Node r = 0; r < n_; ++r) {
+    const std::uint32_t b = task_counts_[r];
+    if (skip >= b) {
+      skip -= b;
+      continue;
+    }
+    for (std::size_t c = 0; c < C; ++c) {
+      const std::uint32_t k = counts_[slot(r, c)];
+      std::uint32_t done = 0;
+      for (; skip < k; skip += 1 + gap()) ++done;
+      skip -= k;
+      if (done == 0) continue;
+      remove(r, c, done);
+      on_done(r, c, done);
+    }
+  }
+}
 
 }  // namespace tlb::core

@@ -13,7 +13,9 @@
 //     uniform resource or on a fixed hotspot;
 //   * completions: each task finishes independently with probability
 //     `completion_rate` per round (so steady-state population ≈
-//     arrival_rate / completion_rate);
+//     arrival_rate / completion_rate), drawn by ClassLoads::complete as
+//     geometric-skip thinning: one draw per completion, O(n + D·C) per
+//     round for D completions;
 //   * crashes: each round, with probability `crash_rate`, one uniformly
 //     random resource fails and its entire stack is scattered to uniform
 //     random resources (fail-over), after which the resource rejoins empty;

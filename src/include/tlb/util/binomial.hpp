@@ -1,10 +1,13 @@
 #pragma once
 // Fast exact Binomial(n, p) sampling.
 //
-// The grouped user-controlled engine draws, for every (resource, weight
-// class) pair, the number of leaving tasks as Binomial(count, p). Counts can
-// be as large as m (all tasks piled on one resource, the paper's initial
-// condition), so a naive count-coin-flips loop would dominate the runtime.
+// ClassLoads::sample, the phase 1 of the grouped and dynamic engines, is
+// the one engine caller per (resource, weight class) pair: it draws the
+// number of leaving tasks of an overloaded resource as Binomial(count, p).
+// Counts can be as large as m (all tasks piled on one resource, the
+// paper's initial condition), so a naive count-coin-flips loop would
+// dominate the runtime. (The dynamic engine's default arrival count is one
+// more draw per round; its completions use geometric skips instead.)
 //
 // Strategy:
 //   * n*p small or n small  -> BINV (inversion by sequential search), O(1+np)

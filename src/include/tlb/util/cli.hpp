@@ -13,6 +13,17 @@
 
 namespace tlb::util {
 
+/// Parse all of `text` as a base-10 int64. Throws std::invalid_argument
+/// naming `what` and `text` on an empty string, trailing characters, a
+/// fraction, an exponent or a value outside int64.
+std::int64_t parse_int(const std::string& text, const std::string& what);
+/// Parse all of `text` as a double (strtod syntax, so "nan" and "inf" are
+/// numbers; callers validate the domain). Throws std::invalid_argument
+/// naming `what` and `text` on an empty string, leading blanks, trailing
+/// characters or a value strtod reports out of range (overflow, or an
+/// underflow such as the denormal 1e-320).
+double parse_double(const std::string& text, const std::string& what);
+
 /// Parsed command line with typed accessors and a generated --help text.
 class Cli {
  public:
@@ -25,15 +36,18 @@ class Cli {
   /// unknown flag was seen.
   bool parse(int argc, char** argv);
 
-  /// Typed accessors; fall back to the registered default.
+  /// Typed accessors; fall back to the registered default. The numeric ones
+  /// parse the whole value with parse_int/parse_double and throw
+  /// std::invalid_argument naming the flag and the value otherwise.
   std::string get_string(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 
-  /// Comma-separated list of integers, e.g. --sizes=64,128,256.
+  /// Comma-separated list of integers, e.g. --sizes=64,128,256. An empty
+  /// value is an empty list; an empty item ("64,,128", "64,") throws.
   std::vector<std::int64_t> get_int_list(const std::string& name) const;
-  /// Comma-separated list of doubles.
+  /// Comma-separated list of doubles, with the same item rules.
   std::vector<double> get_double_list(const std::string& name) const;
 
   /// Positional (non-flag) arguments in order.

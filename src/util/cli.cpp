@@ -1,10 +1,66 @@
 #include "tlb/util/cli.hpp"
 
+#include <cctype>
+#include <cerrno>
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
 namespace tlb::util {
+
+namespace {
+
+[[noreturn]] void bad_number(const std::string& what, const std::string& text,
+                             const char* want) {
+  throw std::invalid_argument(what + ": expected " + want + ", got '" + text +
+                              "'");
+}
+
+/// Split a comma-separated list; an empty `text` is an empty list, an
+/// empty item is an error. A bad item's message quotes the whole list.
+template <class Parse>
+auto parse_list(const std::string& text, const std::string& what,
+                Parse parse) {
+  std::vector<decltype(parse(text, what))> out;
+  if (text.empty()) return out;
+  const std::string item_what = what + " list '" + text + "'";
+  std::size_t begin = 0;
+  for (;;) {
+    const std::size_t comma = text.find(',', begin);
+    const std::string item = text.substr(begin, comma - begin);
+    if (item.empty()) bad_number(what, text, "a list without empty items");
+    out.push_back(parse(item, item_what));
+    if (comma == std::string::npos) return out;
+    begin = comma + 1;
+  }
+}
+
+}  // namespace
+
+std::int64_t parse_int(const std::string& text, const std::string& what) {
+  std::int64_t v = 0;
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, v);
+  if (ec == std::errc::result_out_of_range) {
+    bad_number(what, text, "an integer within int64 range");
+  }
+  if (ec != std::errc() || ptr != last) bad_number(what, text, "an integer");
+  return v;
+}
+
+double parse_double(const std::string& text, const std::string& what) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    bad_number(what, text, "a number");
+  }
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size()) bad_number(what, text, "a number");
+  if (errno == ERANGE) bad_number(what, text, "a number within double range");
+  return v;
+}
 
 void Cli::add_flag(const std::string& name, const std::string& default_value,
                    const std::string& description) {
@@ -61,11 +117,11 @@ std::string Cli::get_string(const std::string& name) const {
 }
 
 std::int64_t Cli::get_int(const std::string& name) const {
-  return std::stoll(get_string(name));
+  return parse_int(get_string(name), "--" + name);
 }
 
 double Cli::get_double(const std::string& name) const {
-  return std::stod(get_string(name));
+  return parse_double(get_string(name), "--" + name);
 }
 
 bool Cli::get_bool(const std::string& name) const {
@@ -74,23 +130,11 @@ bool Cli::get_bool(const std::string& name) const {
 }
 
 std::vector<std::int64_t> Cli::get_int_list(const std::string& name) const {
-  std::vector<std::int64_t> out;
-  std::stringstream ss(get_string(name));
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::stoll(item));
-  }
-  return out;
+  return parse_list(get_string(name), "--" + name, parse_int);
 }
 
 std::vector<double> Cli::get_double_list(const std::string& name) const {
-  std::vector<double> out;
-  std::stringstream ss(get_string(name));
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::stod(item));
-  }
-  return out;
+  return parse_list(get_string(name), "--" + name, parse_double);
 }
 
 void ObsOptions::register_flags(Cli& cli, bool with_round_trace) {
@@ -124,14 +168,13 @@ ObsOptions ObsOptions::parse(const Cli& cli, bool with_round_trace) {
   } else if (a == "true" || a == "on") {
     o.analytics_every = 1;
   } else {
-    std::size_t used = 0;
-    long every = 0;
+    std::int64_t every = 0;
     try {
-      every = std::stol(a, &used);
-    } catch (const std::exception&) {
-      used = 0;
+      every = parse_int(a, "--analytics");
+    } catch (const std::invalid_argument&) {
+      every = 0;
     }
-    if (used != a.size() || every < 1) {
+    if (every < 1) {
       throw std::invalid_argument(
           "--analytics expects a sampling stride >= 1 (or bare/true/false), "
           "got '" + a + "'");

@@ -114,11 +114,8 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
     const std::string inner =
         proto.substr(prefix.size() + 1, proto.size() - prefix.size() - 2);
     try {
-      std::size_t used = 0;
-      const double v = std::stod(inner, &used);
-      if (used != inner.size()) throw std::invalid_argument("trailing junk");
-      return v;
-    } catch (const std::exception&) {
+      return util::parse_double(inner, prefix);
+    } catch (const std::invalid_argument&) {
       bad_scenario(text, prefix + "(" + param + "): " + param +
                              " is not a number");
     }

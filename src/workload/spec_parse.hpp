@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "tlb/util/cli.hpp"
+
 namespace tlb::workload::detail {
 
 /// Render a double the shortest way that round-trips through the parsers
@@ -59,11 +61,8 @@ inline ParsedCall parse_call(const std::string& kind,
 inline double arg_double(const std::string& kind, const std::string& spec,
                          const std::string& arg) {
   try {
-    std::size_t used = 0;
-    const double v = std::stod(arg, &used);
-    if (used != arg.size()) throw std::invalid_argument("trailing junk");
-    return v;
-  } catch (const std::exception&) {
+    return util::parse_double(arg, kind);
+  } catch (const std::invalid_argument&) {
     bad_call(kind, spec, "'" + arg + "' is not a number");
   }
 }

@@ -1,12 +1,15 @@
 // Tests for the dynamic/churn extension: steady state under arrivals and
-// completions, hotspot absorption, crash fail-over, and bookkeeping
-// integrity under all event types combined.
+// completions, hotspot absorption, crash fail-over, bookkeeping integrity
+// under all event types combined, and the distribution of the
+// geometric-skip completion pass (ClassLoads::complete).
 #include "tlb/core/dynamic.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "tlb/engine/driver.hpp"
 
@@ -208,6 +211,138 @@ TEST(DynamicTest, ChangedThresholdReconcilesOnlyTheBand) {
   // And the index itself never rebuilt: the engine mutates loads only
   // through mark_dirty, so every shift reconciles incrementally.
   EXPECT_EQ(engine.overloaded_tracker().load_index().rebuilds(), builds0);
+}
+
+// ---------------------------------------------------------------------------
+// ClassLoads::complete: per-slot Binomial(k, mu) completions, independent
+// across slots, one draw per completion.
+
+/// Five resources x two classes: slot counts 0, 1, 3, 17 and 1000, an empty
+/// resource (r3) and the 17 | 1000 pair on either side of the r1/r2
+/// boundary.
+constexpr std::array<std::array<std::uint32_t, 2>, 5> kSlots = {
+    {{1, 3}, {0, 17}, {1000, 0}, {0, 0}, {3, 1}}};
+
+ClassLoads fixed_loads() {
+  ClassLoads loads({1.0, 2.5});
+  loads.reset(kSlots.size());
+  for (tlb::graph::Node r = 0; r < kSlots.size(); ++r) {
+    for (std::size_t c = 0; c < 2; ++c) {
+      for (std::uint32_t i = 0; i < kSlots[r][c]; ++i) loads.add(r, c);
+    }
+  }
+  return loads;
+}
+
+TEST(ClassLoadsCompleteTest, SlotCountsAreIndependentBinomials) {
+  // Tolerances and seeds fixed up front: means within 4 standard errors,
+  // variances and cross-boundary covariances within 5.
+  constexpr int kReps = 20000;
+  const ClassLoads base = fixed_loads();
+  for (const double mu : {0.01, 0.05, 0.5}) {
+    SCOPED_TRACE(mu);
+    Rng rng(0x5EED0000 + static_cast<std::uint64_t>(mu * 1000));
+    std::uint64_t draws = 0;
+    rng.attach_probe(&draws);
+    std::array<std::array<double, 2>, 5> sum{}, sum_sq{};
+    double cross = 0.0;  // sum of done(r1, c1) * done(r2, c0)
+    std::uint64_t total_done = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      ClassLoads loads = base;
+      std::array<std::array<double, 2>, 5> done{};
+      std::size_t last_slot = 0;
+      bool first = true;
+      const std::uint64_t draws_before = draws;
+      std::uint64_t rep_done = 0;
+      loads.complete(mu, rng, [&](tlb::graph::Node r, std::size_t c,
+                                  std::uint32_t k) {
+        const std::size_t at = r * 2 + c;
+        EXPECT_TRUE(first || at > last_slot) << "slots out of order";
+        first = false;
+        last_slot = at;
+        EXPECT_GT(k, 0u);
+        done[r][c] = k;
+        rep_done += k;
+      });
+      // One draw per completion, plus the gap that runs past the end.
+      ASSERT_EQ(draws - draws_before, rep_done + 1);
+      for (tlb::graph::Node r = 0; r < kSlots.size(); ++r) {
+        for (std::size_t c = 0; c < 2; ++c) {
+          ASSERT_EQ(loads.count(r, c) + done[r][c], kSlots[r][c]);
+          sum[r][c] += done[r][c];
+          sum_sq[r][c] += done[r][c] * done[r][c];
+        }
+      }
+      cross += done[1][1] * done[2][0];
+      total_done += rep_done;
+    }
+    EXPECT_GT(total_done, 0u);
+    const double reps = kReps;
+    const double pq = mu * (1.0 - mu);
+    for (tlb::graph::Node r = 0; r < kSlots.size(); ++r) {
+      for (std::size_t c = 0; c < 2; ++c) {
+        const double k = kSlots[r][c];
+        const double mean = sum[r][c] / reps;
+        const double var = (sum_sq[r][c] - reps * mean * mean) / (reps - 1);
+        if (k == 0) {
+          EXPECT_EQ(sum[r][c], 0.0);
+          continue;
+        }
+        const double var_exp = k * pq;
+        EXPECT_NEAR(mean, k * mu, 4.0 * std::sqrt(var_exp / reps))
+            << "slot (" << r << ", " << c << ")";
+        // Var of the unbiased sample variance: (m4 - s^4 (R-3)/(R-1)) / R,
+        // with the binomial fourth central moment m4 = kpq(1 + 3(k-2)pq).
+        // The (R-3)/(R-1) term keeps it positive where m4 = s^4 (k = 1,
+        // mu = 1/2).
+        const double m4 = k * pq * (1.0 + 3.0 * (k - 2.0) * pq);
+        const double var_se = std::sqrt(
+            (m4 - var_exp * var_exp * (reps - 3.0) / (reps - 1.0)) / reps);
+        EXPECT_NEAR(var, var_exp, 5.0 * var_se)
+            << "slot (" << r << ", " << c << ")";
+      }
+    }
+    const double mean_a = sum[1][1] / reps, mean_b = sum[2][0] / reps;
+    const double cov = cross / reps - mean_a * mean_b;
+    EXPECT_NEAR(cov, 0.0, 5.0 * std::sqrt(17.0 * pq * 1000.0 * pq / reps));
+  }
+}
+
+TEST(ClassLoadsCompleteTest, DegenerateRatesDrawNothing) {
+  for (const double mu : {0.0, 1.0}) {
+    ClassLoads loads = fixed_loads();
+    Rng rng(11);
+    std::uint64_t draws = 0;
+    rng.attach_probe(&draws);
+    std::uint64_t removed = 0;
+    loads.complete(mu, rng,
+                   [&](tlb::graph::Node, std::size_t, std::uint32_t k) {
+                     removed += k;
+                   });
+    EXPECT_EQ(draws, 0u) << "mu " << mu;
+    EXPECT_EQ(removed, mu == 0.0 ? 0u : 1025u) << "mu " << mu;
+    for (tlb::graph::Node r = 0; r < kSlots.size(); ++r) {
+      EXPECT_EQ(loads.load(r), mu == 0.0 ? fixed_loads().load(r) : 0.0);
+    }
+  }
+}
+
+TEST(ClassLoadsCompleteTest, TinyRateSaturatesTheSkip) {
+  // log1p(-mu) is about -1e-300, so the first gap is near 1e300: it must
+  // saturate instead of overflowing the uint64 skip.
+  for (const double mu : {1e-300, 5e-324}) {
+    ClassLoads loads = fixed_loads();
+    Rng rng(12);
+    std::uint64_t draws = 0;
+    rng.attach_probe(&draws);
+    std::uint64_t removed = 0;
+    loads.complete(mu, rng,
+                   [&](tlb::graph::Node, std::size_t, std::uint32_t k) {
+                     removed += k;
+                   });
+    EXPECT_EQ(removed, 0u) << "mu " << mu;
+    EXPECT_EQ(draws, 1u) << "mu " << mu;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 // Tests for the CLI flag parser and the table/CSV writer.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "tlb/util/cli.hpp"
 #include "tlb/util/table.hpp"
@@ -85,6 +89,73 @@ TEST(CliTest, PositionalArgumentsCollected) {
   ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
   ASSERT_EQ(cli.positional().size(), 2u);
   EXPECT_EQ(cli.positional()[0], "input.txt");
+}
+
+/// A Cli with int flag "trials", double flag "alpha" and list flags
+/// "sizes"/"alphas", parsed from `--<flag>=<value>`.
+Cli parsed(const std::string& flag, const std::string& value) {
+  Cli cli;
+  cli.add_flag("trials", "1", "");
+  cli.add_flag("alpha", "1", "");
+  cli.add_flag("sizes", "", "");
+  cli.add_flag("alphas", "", "");
+  std::vector<std::string> args = {"prog", "--" + flag + "=" + value};
+  auto argv = make_argv(args);
+  EXPECT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+  return cli;
+}
+
+/// `get()` throws std::invalid_argument whose message names --flag and
+/// quotes the value.
+template <class Get>
+void expect_rejected(const std::string& flag, const std::string& value,
+                     Get get) {
+  const Cli cli = parsed(flag, value);
+  try {
+    get(cli);
+    ADD_FAILURE() << "--" << flag << "=" << value << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("--" + flag), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'" + value + "'"), std::string::npos) << msg;
+  }
+}
+
+TEST(CliTest, IntFlagsRejectAnythingButAWholeInteger) {
+  for (const std::string v : {"2x", "2.9", "", "1e3", " 5", "0x10",
+                              "99999999999999999999"}) {
+    expect_rejected("trials", v, [](const Cli& c) { c.get_int("trials"); });
+  }
+  EXPECT_EQ(parsed("trials", "-7").get_int("trials"), -7);
+  EXPECT_EQ(parsed("trials", "9223372036854775807").get_int("trials"),
+            INT64_MAX);
+}
+
+TEST(CliTest, DoubleFlagsRejectJunkAndOutOfRange) {
+  for (const std::string v : {"0.2abc", "", "abc", " 1", "1e-320", "1e400",
+                              "-1e400", "1,5"}) {
+    expect_rejected("alpha", v, [](const Cli& c) { c.get_double("alpha"); });
+  }
+  EXPECT_DOUBLE_EQ(parsed("alpha", "2.5").get_double("alpha"), 2.5);
+  EXPECT_DOUBLE_EQ(parsed("alpha", "1e308").get_double("alpha"), 1e308);
+  EXPECT_DOUBLE_EQ(parsed("alpha", "1e-300").get_double("alpha"), 1e-300);
+  // Non-finite values are numbers here; the config boundaries reject them.
+  EXPECT_TRUE(std::isnan(parsed("alpha", "nan").get_double("alpha")));
+  EXPECT_TRUE(std::isinf(parsed("alpha", "inf").get_double("alpha")));
+}
+
+TEST(CliTest, ListsRejectEmptyAndBadItems) {
+  for (const std::string v : {"64,,128", "64,", ",64", ",", "64,2.5",
+                              "64,1x"}) {
+    expect_rejected("sizes", v, [](const Cli& c) { c.get_int_list("sizes"); });
+  }
+  for (const std::string v : {"0.1,,0.2", "0.1,", "0.1,1e-320", "0.1;0.2"}) {
+    expect_rejected("alphas", v,
+                    [](const Cli& c) { c.get_double_list("alphas"); });
+  }
+  EXPECT_TRUE(parsed("sizes", "").get_int_list("sizes").empty());
+  EXPECT_EQ(parsed("sizes", "-1,0,7").get_int_list("sizes"),
+            (std::vector<std::int64_t>{-1, 0, 7}));
 }
 
 TEST(CliTest, UnregisteredAccessThrows) {
